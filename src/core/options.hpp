@@ -34,10 +34,13 @@ struct TessOptions {
   bool hull_pass = false;
 
   /// Automatic ghost-size determination (the paper's §V future work).
-  /// When enabled, `ghost` is only the starting guess: the tessellation is
-  /// repeated with a doubled ghost zone until every cell is complete AND
-  /// certified by the security radius (2 * max vertex distance <= ghost),
-  /// at which point the result is provably identical to the serial one.
+  /// When enabled, `ghost` is only the starting guess: the tessellation
+  /// pass is repeated with a doubled ghost zone until every cell is
+  /// complete AND certified by the security radius (2 * max vertex distance
+  /// <= ghost), at which point the result is provably identical to the
+  /// serial one; cells are canonicalized so the bytes do not depend on the
+  /// pass that built them. When disabled, the same loop runs one pass at
+  /// `ghost` with no collective verdict, and cells are only compacted.
   bool auto_ghost = false;
 
   /// Upper bound for auto_ghost doubling, as a fraction of the shortest

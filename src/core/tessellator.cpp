@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <numeric>
 #include <optional>
 
 #include "comm/fault.hpp"
@@ -91,18 +92,7 @@ BlockMesh Tessellator::tessellate(const std::vector<diy::Particle>& mine) {
   stats_ = TessStats{};
   stats_.local_particles = mine.size();
 
-  BlockMesh mesh;
-  if (!options_.auto_ghost) {
-    stats_.ghost_used = options_.ghost;
-    mesh = tessellate_once(mine, options_.ghost);
-    stats_.iterations.push_back({options_.ghost, stats_.exchange_seconds,
-                                 stats_.compute_seconds, stats_.ghost_sent,
-                                 stats_.ghost_received, mine.size(),
-                                 stats_.cells_incomplete,
-                                 stats_.cells_uncertified});
-  } else {
-    mesh = tessellate_auto(mine);
-  }
+  BlockMesh mesh = run_passes(mine);
   stats_.finalize_from_iterations();
   TESS_COUNT("tess.cells_kept", stats_.cells_kept);
   TESS_COUNT("tess.cells_incomplete", stats_.cells_incomplete);
@@ -170,11 +160,17 @@ void Tessellator::adaptive_decide(int step) {
   if (repart_pending_) TESS_COUNT("tess.repartition.scheduled", 1);
 }
 
-BlockMesh Tessellator::tessellate_auto(const std::vector<diy::Particle>& mine) {
-  // Automatic ghost-size determination (paper §V future work): repeat with
-  // a doubled ghost zone until every cell is both complete and certified by
-  // its security radius — at that point no particle outside the ghost zone
-  // could have altered any cell, so the result equals the serial one.
+BlockMesh Tessellator::run_passes(const std::vector<diy::Particle>& mine) {
+  // The per-block pipeline of paper Figure 5 — exchange ghosts, build
+  // cells, drop incomplete cells, cull, assemble — as a loop over ghost
+  // passes. Fixed ghost is its one-pass case: the cap is options.ghost and
+  // no verdict runs.
+  //
+  // Automatic ghost-size determination (paper §V future work) repeats the
+  // pass with a doubled ghost zone until every cell is both complete and
+  // certified by its security radius — at that point no particle outside
+  // the ghost zone could have altered any cell, so the result equals the
+  // serial one.
   //
   // With options.incremental, the loop reuses everything a pass has proved:
   // pass k exchanges only the ghost annulus (g_{k-1}, g_k], appends it to
@@ -185,15 +181,24 @@ BlockMesh Tessellator::tessellate_auto(const std::vector<diy::Particle>& mine) {
   // independent of which pass built it. With incremental = false every pass
   // re-exchanges and rebuilds everything; the two modes emit byte-identical
   // meshes (asserted by tests), differing only in work done.
+  //
+  // Thread CPU time: models this rank's own work even when thread-ranks
+  // oversubscribe the host cores (see util/timer.hpp).
   util::ThreadCpuTimer timer;
+  const bool auto_ghost = options_.auto_ghost;
   const geom::Vec3 dsize = active_->domain_size();
   const double ghost_cap =
-      options_.auto_ghost_max_fraction * std::min({dsize.x, dsize.y, dsize.z});
+      auto_ghost ? options_.auto_ghost_max_fraction *
+                       std::min({dsize.x, dsize.y, dsize.z})
+                 : options_.ghost;
   double ghost = std::min(std::max(options_.ghost, 1e-12), ghost_cap);
   const bool reuse = options_.incremental;
   const auto bounds = exchanger_->my_bounds();
   const std::size_t n = mine.size();
 
+  // Early-cull bound: a cell whose largest vertex separation is below the
+  // diameter of the sphere of volume `min_volume` cannot reach the
+  // threshold volume.
   double early_diam2 = 0.0;
   if (options_.min_volume > 0.0 && options_.early_cull) {
     const double r = std::cbrt(options_.min_volume * 3.0 / (4.0 * std::numbers::pi));
@@ -202,23 +207,35 @@ BlockMesh Tessellator::tessellate_auto(const std::vector<diy::Particle>& mine) {
 
   // Per-site state carried across passes. A site is terminal once its cell
   // is complete AND certified; until then it stays on the pending list.
-  // Classification (kept/culled) is recorded every pass so a cap-stopped
-  // run still reports the last pass's best answer for uncertified cells.
-  enum : std::uint8_t { kPending = 0, kKept = 1, kCulledEarly = 2, kCulledVolume = 3 };
-  std::vector<std::uint8_t> state(n, kPending);
-  std::vector<std::uint8_t> complete_flags(n, 0);
+  // Classification is recorded every pass, so a cap-stopped run reports
+  // the last pass's answer for uncertified cells. A kept cell lives in the
+  // chunk shard `slot` names until the site-order assembly.
+  enum : std::uint8_t { kIncomplete = 0, kKept, kCulledEarly, kCulledVolume };
+  std::vector<std::uint8_t> state(n, kIncomplete);
   std::vector<std::uint8_t> certified(n, 0);
-  std::vector<std::optional<geom::VoronoiCell>> cell_of(n);
-  std::vector<double> vol_of(n, 0.0), area_of(n, 0.0);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> slot(n);
+  std::vector<BlockMesh> shards;
   std::vector<std::size_t> pending(n);
-  for (std::size_t i = 0; i < n; ++i) pending[i] = i;
 
+  // Per-cell work is sharded over the intra-rank pool in chunks of a fixed
+  // grain that does NOT depend on the thread count, so the output is
+  // byte-identical for any options.threads. Chunks are handed out
+  // dynamically (clustered inputs make per-cell cost very uneven); each
+  // worker owns one reusable cell/scratch pair, which keeps the clipping
+  // kernel allocation-free in steady state.
   std::optional<geom::CellBuilder> builder;
   const int nthreads = pool_->size();
   const geom::VoronoiCell proto({0, 0, 0}, {-1, -1, -1}, {1, 1, 1});
   std::vector<geom::VoronoiCell> cells(static_cast<std::size_t>(nthreads), proto);
   std::vector<geom::ClipScratch> scratches(static_cast<std::size_t>(nthreads));
   constexpr std::size_t kGrain = 64;
+
+  // Collective verdicts are wait from this rank's point of view: the
+  // `.wait` suffix makes obs::analyze_imbalance charge them as such.
+  const auto verdict = [this](std::size_t local) {
+    TESS_SPAN("tess.verdict.wait");
+    return comm_->allreduce_sum(local);
+  };
 
   // Graceful-degradation state (fault injector armed only). A pass whose
   // exchange stays incomplete after the bounded retries is abandoned by
@@ -233,10 +250,10 @@ BlockMesh Tessellator::tessellate_auto(const std::vector<diy::Particle>& mine) {
   bool builder_fresh_done = false;
 
   double prev_ghost = 0.0;
-  for (int iteration = 1;; ++iteration) {
-    TESS_SPAN(iteration == 1 ? "tess.pass" : "tess.retry_pass");
-    TESS_COUNT("tess.passes", 1);
-    if (iteration > 1) TESS_COUNT("tess.retries", 1);
+  while (true) {
+    // Named and counted by completed passes: an abandoned attempt is
+    // repeated under the same name.
+    TESS_SPAN(stats_.iterations.empty() ? "tess.pass" : "tess.retry_pass");
     const auto seed = bounds.grown(ghost);
 
     // 1. Ghost exchange: full ball on the first pass (and every pass when
@@ -267,15 +284,14 @@ BlockMesh Tessellator::tessellate_auto(const std::vector<diy::Particle>& mine) {
       // Collective verdict on the pass: if any rank is missing a neighbor's
       // message, all ranks abandon the pass together and retry it — cells
       // are never built from a partial ghost set.
-      const std::size_t missing =
-          comm_->allreduce_sum(static_cast<std::size_t>(have ? 0 : 1));
+      const std::size_t missing = verdict(have ? 0 : 1);
       if (missing > 0) {
         TESS_COUNT("tess.exchange_failed_passes", 1);
         TESS_COUNT("tess.cells_rerequested", pending.size());
         if (have) carried = std::move(ghosts);
         if (++failed_streak >= kMaxFailedExchangePasses)
           throw comm::CommTimeoutError(
-              "tessellate_auto: ghost exchange failed on " +
+              "tessellate: ghost exchange failed on " +
               std::to_string(missing) + " rank(s) for " +
               std::to_string(failed_streak) + " consecutive passes");
         continue;
@@ -283,6 +299,8 @@ BlockMesh Tessellator::tessellate_auto(const std::vector<diy::Particle>& mine) {
       failed_streak = 0;
     }
     if (fresh) builder_fresh_done = true;
+    TESS_COUNT("tess.passes", 1);
+    if (!stats_.iterations.empty()) TESS_COUNT("tess.retries", 1);
     IterationStats iter;
     iter.ghost = ghost;
     iter.exchange_seconds = timer.seconds();
@@ -312,92 +330,106 @@ BlockMesh Tessellator::tessellate_auto(const std::vector<diy::Particle>& mine) {
     if (fresh) {
       builder.emplace(std::move(pts), std::move(ids), seed.min, seed.max,
                       backend_);
+      // A fresh pass rebuilds every site, so no earlier shard stays live.
+      shards.clear();
       pending.resize(n);
-      for (std::size_t i = 0; i < n; ++i) pending[i] = i;
+      std::iota(pending.begin(), pending.end(), std::size_t{0});
     } else {
       builder->add_points(pts, ids, seed.min, seed.max);
     }
 
-    // 3. Rebuild the pending sites (all sites when not reusing), sharded
-    // over the pool in fixed chunks of the pending list. Every write goes
-    // to a per-chunk counter or a slot owned by exactly one pending site,
-    // so the result is deterministic for any thread count.
+    // 3. Build the pending sites (all sites on a fresh pass). Every write
+    // goes to a per-chunk shard and counter or to a slot owned by exactly
+    // one pending site, so the result is deterministic for any thread
+    // count. A shard takes only cells that reach the output: certified
+    // cells, or any kept cell of the pass at the cap. An uncertified cell
+    // below the cap is always rebuilt, because the verdict counts it. The
+    // site-order re-weld at assembly then picks each shared vertex's first
+    // occurrence in site order, as welding the final cells directly would.
+    const bool at_cap = ghost >= ghost_cap;
     const std::size_t np = pending.size();
     const std::size_t num_chunks = (np + kGrain - 1) / kGrain;
+    const std::size_t shard_base = shards.size();
+    shards.resize(shard_base + num_chunks);
     struct ChunkStat {
-      std::size_t incomplete = 0;
-      std::size_t uncertified = 0;
-      std::size_t culled_early = 0;
-      std::size_t culled_volume = 0;
+      std::size_t incomplete = 0, uncertified = 0;
       double cpu_seconds = 0.0;
     };
     std::vector<ChunkStat> chunk_stats(num_chunks);
     const std::uint64_t cuts_before = builder->cuts_attempted();
     const auto backend_stats_before = builder->backend_stats();
     const auto exact_before = geom::exact_fallback_count();
+    // Pause the serial timer over the parallel loop: the calling thread
+    // works chunks too, and that CPU is already accounted per chunk.
     timer.stop();
 
-    TESS_SPAN("tess.build_cells");
-    util::parallel_for(
-        *pool_, np, kGrain,
-        [&](std::size_t begin, std::size_t end, int chunk, int worker) {
-          TESS_SPAN("tess.cell_chunk");
-          util::ThreadCpuTimer chunk_timer;
-          chunk_timer.start();
-          ChunkStat& cs = chunk_stats[static_cast<std::size_t>(chunk)];
-          auto& cell = cells[static_cast<std::size_t>(worker)];
-          auto& scratch = scratches[static_cast<std::size_t>(worker)];
-          for (std::size_t pi = begin; pi < end; ++pi) {
-            const std::size_t i = pending[pi];
-            builder->build_into(cell, scratch, static_cast<int>(i), seed.min,
-                                seed.max);
-            if (!cell.complete()) {
-              ++cs.incomplete;
-              complete_flags[i] = 0;
+    {
+      TESS_SPAN("tess.build_cells");
+      util::parallel_for(
+          *pool_, np, kGrain,
+          [&](std::size_t begin, std::size_t end, int chunk, int worker) {
+            TESS_SPAN("tess.cell_chunk");
+            util::ThreadCpuTimer chunk_timer;
+            chunk_timer.start();
+            ChunkStat& cs = chunk_stats[static_cast<std::size_t>(chunk)];
+            const std::size_t shard_id =
+                shard_base + static_cast<std::size_t>(chunk);
+            auto& cell = cells[static_cast<std::size_t>(worker)];
+            auto& scratch = scratches[static_cast<std::size_t>(worker)];
+            for (std::size_t pi = begin; pi < end; ++pi) {
+              const std::size_t i = pending[pi];
+              builder->build_into(cell, scratch, static_cast<int>(i),
+                                  seed.min, seed.max);
               certified[i] = 0;
-              state[i] = kPending;
-              cell_of[i].reset();
-              continue;
-            }
-            complete_flags[i] = 1;
-            // Canonical form before any decision: every classification below
-            // then depends only on the cell's true geometry, never on the
-            // pass that built it — the retained-cell bytes and the
-            // would-be-rebuilt bytes coincide.
-            cell.canonicalize();
-            certified[i] = 4.0 * cell.max_radius2() <= ghost * ghost ? 1 : 0;
-            if (!certified[i]) ++cs.uncertified;
-            if (early_diam2 > 0.0 &&
-                cell.max_vertex_separation2() < early_diam2) {
-              ++cs.culled_early;
-              state[i] = kCulledEarly;
-              cell_of[i].reset();
-              continue;
-            }
-            double volume = cell.volume();
-            double area = cell.area();
-            if (options_.hull_pass) {
-              const auto hull = geom::convex_hull(cell.vertices(), backend_);
-              if (!hull.degenerate) {
-                volume = hull.volume;
-                area = hull.area;
+              if (!cell.complete()) {
+                ++cs.incomplete;
+                state[i] = kIncomplete;
+                continue;
+              }
+              // Finish the cell before any decision. Auto mode's canonical
+              // form makes every classification below depend only on the
+              // cell's true geometry, never on the pass that built it — the
+              // retained-cell bytes and the would-be-rebuilt bytes coincide.
+              // A single fixed pass only needs the compacted cell.
+              auto_ghost ? cell.canonicalize() : cell.compact();
+              // Security-radius certificate: every potential cutter of this
+              // cell lies within 2*Rmax of the site; if that ball fits
+              // inside the ghost-grown region, the cell is provably exact.
+              certified[i] = 4.0 * cell.max_radius2() <= ghost * ghost ? 1 : 0;
+              if (!certified[i]) ++cs.uncertified;
+              if (early_diam2 > 0.0 &&
+                  cell.max_vertex_separation2() < early_diam2) {
+                state[i] = kCulledEarly;
+                continue;
+              }
+              double volume = cell.volume();
+              double area = cell.area();
+              if (options_.hull_pass) {
+                // Paper-faithful step: order the cell's vertices into faces
+                // via the convex hull and take volume/area from it.
+                const auto hull = geom::convex_hull(cell.vertices(), backend_);
+                if (!hull.degenerate) {
+                  volume = hull.volume;
+                  area = hull.area;
+                }
+              }
+              if ((options_.min_volume > 0.0 && volume < options_.min_volume) ||
+                  (options_.max_volume > 0.0 && volume > options_.max_volume)) {
+                state[i] = kCulledVolume;
+                continue;
+              }
+              state[i] = kKept;
+              if (certified[i] || at_cap) {
+                BlockMesh& shard = shards[shard_id];
+                slot[i] = {static_cast<std::uint32_t>(shard_id),
+                           static_cast<std::uint32_t>(shard.cells.size())};
+                shard.add_cell(mine[i].id, cell, volume, area);
               }
             }
-            if ((options_.min_volume > 0.0 && volume < options_.min_volume) ||
-                (options_.max_volume > 0.0 && volume > options_.max_volume)) {
-              ++cs.culled_volume;
-              state[i] = kCulledVolume;
-              cell_of[i].reset();
-              continue;
-            }
-            state[i] = kKept;
-            cell_of[i] = cell;
-            vol_of[i] = volume;
-            area_of[i] = area;
-          }
-          chunk_timer.stop();
-          cs.cpu_seconds = chunk_timer.seconds();
-        });
+            chunk_timer.stop();
+            cs.cpu_seconds = chunk_timer.seconds();
+          });
+    }
 
     timer.start();
     std::size_t pass_incomplete = 0, pass_uncertified = 0;
@@ -408,6 +440,9 @@ BlockMesh Tessellator::tessellate_auto(const std::vector<diy::Particle>& mine) {
       loop_cpu += cs.cpu_seconds;
     }
     timer.stop();
+    // Model the per-rank critical path: serial sections on this thread,
+    // plus the cell loop's total CPU divided by the pool width (== the
+    // loop CPU itself when threads == 1).
     iter.compute_seconds =
         timer.seconds() + loop_cpu / static_cast<double>(nthreads);
     iter.cells_built = np;
@@ -426,7 +461,7 @@ BlockMesh Tessellator::tessellate_auto(const std::vector<diy::Particle>& mine) {
     // Cumulative ghost traffic is NOT accumulated here: the per-pass entries
     // are the single source of truth, folded once by finalize_from_iterations().
     stats_.iterations.push_back(iter);
-    stats_.auto_iterations = iteration;
+    stats_.auto_iterations = static_cast<int>(stats_.iterations.size());
     stats_.ghost_used = ghost;
 
     // Live-stream heartbeat per ghost pass, interval-gated: a long
@@ -438,34 +473,36 @@ BlockMesh Tessellator::tessellate_auto(const std::vector<diy::Particle>& mine) {
       sample.step = current_step_;
       sample.rank = comm_->rank();
       sample.values = {
-          {"tess.pass.iteration", static_cast<double>(iteration)},
+          {"tess.pass.iteration", static_cast<double>(stats_.auto_iterations)},
           {"tess.pass.ghost", ghost},
           {"tess.pass.pending", static_cast<double>(pending.size())},
       };
       stream->emit(sample);
     }
 
+    if (!auto_ghost) break;
     // Incomplete cells only count against certification when the domain is
     // periodic (in open domains, hull cells are unbounded and are dropped
     // exactly as in fixed-ghost mode). Sites already retired contribute
     // nothing — a certified cell stays complete and certified at any larger
-    // ghost — so this count matches what a full rebuild would report.
+    // ghost — so this count matches what a full rebuild would report. The
+    // verdict runs even at the cap, so every pass issues the same
+    // collectives.
     std::size_t unresolved = pass_uncertified;
     if (active_->periodic()) unresolved += pass_incomplete;
-    const auto total = comm_->allreduce_sum(unresolved);
-    if (total == 0 || ghost >= ghost_cap) break;
+    if (verdict(unresolved) == 0 || at_cap) break;
 
     std::vector<std::size_t> next_pending;
     next_pending.reserve(pending.size());
     for (const std::size_t i : pending)
-      if (!(complete_flags[i] && certified[i])) next_pending.push_back(i);
+      if (!certified[i]) next_pending.push_back(i);
     pending = std::move(next_pending);
     prev_ghost = ghost;
     ghost = std::min(2.0 * ghost, ghost_cap);
   }
 
-  // Final assembly in site order from the per-site results — the order and
-  // the welded-vertex numbering are therefore mode- and thread-independent.
+  // Final assembly in site order — the order and the welded-vertex
+  // numbering are therefore mode- and thread-independent.
   TESS_SPAN("tess.assemble");
   timer.reset();
   timer.start();
@@ -474,7 +511,7 @@ BlockMesh Tessellator::tessellate_auto(const std::vector<diy::Particle>& mine) {
   for (std::size_t i = 0; i < n; ++i) {
     switch (state[i]) {
       case kKept:
-        mesh.add_cell(mine[i].id, *cell_of[i], vol_of[i], area_of[i]);
+        mesh.append_cell(shards[slot[i].first], slot[i].second);
         ++stats_.cells_kept;
         break;
       case kCulledEarly:
@@ -485,201 +522,12 @@ BlockMesh Tessellator::tessellate_auto(const std::vector<diy::Particle>& mine) {
         break;
       default:
         ++stats_.cells_incomplete;
-        break;
+        continue;
     }
-    if (complete_flags[i] && !certified[i]) ++stats_.cells_uncertified;
+    if (!certified[i]) ++stats_.cells_uncertified;
   }
   timer.stop();
   stats_.compute_seconds += timer.seconds();
-  return mesh;
-}
-
-BlockMesh Tessellator::tessellate_once(const std::vector<diy::Particle>& mine,
-                                       double ghost) {
-  // Thread CPU time: models this rank's own work even when thread-ranks
-  // oversubscribe the host cores (see util/timer.hpp).
-  util::ThreadCpuTimer timer;
-  TESS_SPAN("tess.pass");
-  TESS_COUNT("tess.passes", 1);
-
-  // 1. Ghost-zone neighbor exchange. Under an armed fault injector the
-  // exchange may come back incomplete; all ranks then agree (collectively)
-  // to resume the receive side until every rank has its full ghost set or
-  // the failure budget runs out — cells are never built from partial data.
-  timer.start();
-  std::vector<diy::Particle> ghosts;
-  {
-    TESS_SPAN("tess.exchange");
-    ghosts = exchanger_->exchange_ghost(mine, ghost);
-  }
-  if (comm::faults().armed()) {
-    int streak = 0;
-    while (true) {
-      const bool have = exchanger_->last_exchange_complete();
-      const std::size_t missing =
-          comm_->allreduce_sum(static_cast<std::size_t>(have ? 0 : 1));
-      if (missing == 0) break;
-      TESS_COUNT("tess.exchange_failed_passes", 1);
-      if (++streak >= kMaxFailedExchangePasses)
-        throw comm::CommTimeoutError(
-            "tessellate_once: ghost exchange failed on " +
-            std::to_string(missing) + " rank(s) for " + std::to_string(streak) +
-            " consecutive attempts");
-      if (!have) {
-        TESS_SPAN("tess.exchange");
-        ghosts = exchanger_->exchange_ghost(mine, ghost);
-      }
-    }
-  }
-  timer.stop();
-  stats_.exchange_seconds = timer.seconds();
-  stats_.ghost_received = ghosts.size();
-  stats_.ghost_sent = exchanger_->last_sent();
-  TESS_COUNT("tess.ghost_sent", stats_.ghost_sent);
-  TESS_COUNT("tess.ghost_received", stats_.ghost_received);
-
-  // 2-4. Local Voronoi computation and culling.
-  timer.reset();
-  timer.start();
-  const auto bounds = exchanger_->my_bounds();
-  const auto seed = bounds.grown(ghost);
-
-  std::vector<geom::Vec3> pts;
-  std::vector<std::int64_t> ids;
-  pts.reserve(mine.size() + ghosts.size());
-  ids.reserve(mine.size() + ghosts.size());
-  for (const auto& p : mine) {
-    pts.push_back(p.pos);
-    ids.push_back(p.id);
-  }
-  for (const auto& g : ghosts) {
-    pts.push_back(g.pos);
-    ids.push_back(g.id);
-  }
-  geom::CellBuilder builder(std::move(pts), std::move(ids), seed.min, seed.max,
-                            backend_);
-  const auto backend_stats_before = builder.backend_stats();
-  const auto exact_before = geom::exact_fallback_count();
-
-  // Early-cull bound: a cell whose largest vertex separation is below the
-  // diameter of the sphere of volume `min_volume` cannot reach the
-  // threshold volume.
-  double early_diam2 = 0.0;
-  if (options_.min_volume > 0.0 && options_.early_cull) {
-    const double r = std::cbrt(options_.min_volume * 3.0 / (4.0 * std::numbers::pi));
-    early_diam2 = 4.0 * r * r;
-  }
-
-  BlockMesh mesh;
-  mesh.bounds = bounds;
-
-  // Per-cell loop, sharded over the intra-rank pool. Sites are split into
-  // chunks of a fixed grain that does NOT depend on the thread count, each
-  // chunk fills its own mesh shard and stat counters, and shards are merged
-  // in site order below — so the output mesh is byte-identical for any
-  // options.threads. Chunks are handed out dynamically (clustered inputs
-  // make per-cell cost very uneven); each worker owns one reusable
-  // cell/scratch pair, which keeps the clipping kernel allocation-free in
-  // steady state.
-  constexpr std::size_t kGrain = 64;
-  const std::size_t n = mine.size();
-  const std::size_t num_chunks = (n + kGrain - 1) / kGrain;
-  const int nthreads = pool_->size();
-
-  struct Shard {
-    BlockMesh mesh;
-    std::size_t incomplete = 0;
-    std::size_t uncertified = 0;
-    std::size_t culled_early = 0;
-    std::size_t culled_volume = 0;
-    double cpu_seconds = 0.0;
-  };
-  std::vector<Shard> shards(num_chunks);
-  const geom::VoronoiCell proto({0, 0, 0}, {-1, -1, -1}, {1, 1, 1});
-  std::vector<geom::VoronoiCell> cells(static_cast<std::size_t>(nthreads), proto);
-  std::vector<geom::ClipScratch> scratches(static_cast<std::size_t>(nthreads));
-
-  // Pause the serial timer over the parallel loop: the calling thread works
-  // chunks too, and that CPU is already accounted in the shard timers.
-  timer.stop();
-  TESS_COUNT("tess.cells_built", n);
-  {
-    TESS_SPAN("tess.build_cells");
-    util::parallel_for(
-        *pool_, n, kGrain,
-        [&](std::size_t begin, std::size_t end, int chunk, int worker) {
-          TESS_SPAN("tess.cell_chunk");
-          util::ThreadCpuTimer chunk_timer;
-          chunk_timer.start();
-          Shard& shard = shards[static_cast<std::size_t>(chunk)];
-          auto& cell = cells[static_cast<std::size_t>(worker)];
-          auto& scratch = scratches[static_cast<std::size_t>(worker)];
-          for (std::size_t i = begin; i < end; ++i) {
-            builder.build_into(cell, scratch, static_cast<int>(i), seed.min,
-                               seed.max);
-            if (!cell.complete()) {
-              ++shard.incomplete;
-              continue;
-            }
-            // Security-radius certificate: every potential cutter of this cell
-            // lies within 2*Rmax of the site; if that ball fits inside the
-            // ghost-grown region, the cell is provably exact.
-            if (4.0 * cell.max_radius2() > ghost * ghost) ++shard.uncertified;
-            if (early_diam2 > 0.0 && cell.max_vertex_separation2() < early_diam2) {
-              ++shard.culled_early;
-              continue;
-            }
-            cell.compact();
-
-            double volume = cell.volume();
-            double area = cell.area();
-            if (options_.hull_pass) {
-              // Paper-faithful step: order the cell's vertices into faces via
-              // the convex hull and take volume/area from it.
-              const auto hull = geom::convex_hull(cell.vertices(), backend_);
-              if (!hull.degenerate) {
-                volume = hull.volume;
-                area = hull.area;
-              }
-            }
-            if (options_.min_volume > 0.0 && volume < options_.min_volume) {
-              ++shard.culled_volume;
-              continue;
-            }
-            if (options_.max_volume > 0.0 && volume > options_.max_volume) {
-              ++shard.culled_volume;
-              continue;
-            }
-            shard.mesh.add_cell(mine[i].id, cell, volume, area);
-          }
-          chunk_timer.stop();
-          shard.cpu_seconds = chunk_timer.seconds();
-        });
-  }
-
-  TESS_SPAN("tess.assemble");
-  timer.start();
-  // Ordered merge: shard c holds sites [c*kGrain, (c+1)*kGrain), so
-  // appending in chunk order reproduces the serial site order exactly.
-  double loop_cpu = 0.0;
-  for (const auto& shard : shards) {
-    mesh.append(shard.mesh);
-    stats_.cells_incomplete += shard.incomplete;
-    stats_.cells_uncertified += shard.uncertified;
-    stats_.cells_culled_early += shard.culled_early;
-    stats_.cells_culled_volume += shard.culled_volume;
-    stats_.cells_kept += shard.mesh.cells.size();
-    loop_cpu += shard.cpu_seconds;
-  }
-  timer.stop();
-  // Model the per-rank critical path: serial sections (builder setup and
-  // shard merge) on this thread, plus the cell loop's total CPU divided by
-  // the pool width (== the loop CPU itself when threads == 1).
-  stats_.compute_seconds =
-      timer.seconds() + loop_cpu / static_cast<double>(nthreads);
-  TESS_COUNT("geom.cuts", builder.cuts_attempted());
-  emit_backend_metrics(backend_, backend_stats_before, builder.backend_stats(),
-                       builder.cuts_attempted(), exact_before);
   return mesh;
 }
 

@@ -73,7 +73,8 @@ struct TessStats {
 
   /// Ghost size actually used (grows beyond options.ghost in auto mode).
   double ghost_used = 0.0;
-  /// Number of tessellation passes auto_ghost needed (1 when disabled).
+  /// Completed tessellation passes (== iterations.size(); 1 when
+  /// auto_ghost is disabled). Abandoned exchange attempts do not count.
   int auto_iterations = 1;
   /// Cells whose security radius was not covered by the ghost zone in the
   /// final pass (0 means the result is certified exact).
@@ -146,10 +147,11 @@ class Tessellator {
   [[nodiscard]] double last_imbalance() const { return last_imbalance_; }
 
  private:
-  BlockMesh tessellate_once(const std::vector<diy::Particle>& mine, double ghost);
-  /// The auto-ghost doubling loop (incremental or restart-from-scratch per
-  /// options.incremental; both produce byte-identical meshes).
-  BlockMesh tessellate_auto(const std::vector<diy::Particle>& mine);
+  /// The one tessellation loop: exchange, build, classify, repeated over
+  /// doubling ghost passes under options.auto_ghost (incremental or
+  /// restart-from-scratch per options.incremental; both produce
+  /// byte-identical meshes), a single pass at options.ghost otherwise.
+  BlockMesh run_passes(const std::vector<diy::Particle>& mine);
   /// Apply a scheduled repartition and/or migrate `particles` into the
   /// active decomposition (adaptive mode; collective).
   void adaptive_prepare(int step);

@@ -1,9 +1,9 @@
-// Seeded chaos sweep for the tessellation pipeline: tessellate_auto must
+// Seeded chaos sweep for the tessellation pipeline: the auto-ghost loop must
 // produce byte-identical meshes under randomized drop/delay/duplicate plans
 // (the resilience layer heals every injected fault), a forced exchange
-// failure must degrade gracefully — abandon the pass collectively, resume
-// receive-only, converge to the same bytes — and kill-rank plans must fail
-// fast with a clean error instead of hanging.
+// failure must degrade gracefully in auto and fixed ghost mode — abandon the
+// pass collectively, resume receive-only, converge to the same bytes — and
+// kill-rank plans must fail fast with a clean error instead of hanging.
 //
 // The sweep seed comes from TESS_FAULT_SEED (see the CI chaos job), so a
 // failing run is replayed locally with
@@ -30,6 +30,7 @@ using tess::comm::FaultPlan;
 using tess::comm::faults;
 using tess::comm::Runtime;
 using tess::core::TessOptions;
+using tess::core::TessStats;
 using tess::diy::Decomposition;
 using tess::diy::Particle;
 using tess::geom::Vec3;
@@ -62,27 +63,37 @@ std::vector<Particle> chaos_particles(int n, double domain) {
   return ps;
 }
 
-/// Run the full auto-ghost tessellation and return each rank's serialized
-/// mesh bytes (the PR 2 byte-identity currency: canonicalized cells, site
-/// order, welded vertex numbering — all construction-path independent).
+/// Run the full tessellation — the auto-ghost loop, or a single pass at a
+/// fixed ghost when `auto_ghost` is false — and return each rank's
+/// serialized mesh bytes (the byte-identity currency: canonicalized cells,
+/// site order, welded vertex numbering — all construction-path
+/// independent). Per-rank stats go to `stats` when given.
 std::vector<std::vector<std::byte>> run_auto(int nranks, bool periodic,
-                                             int nparticles) {
+                                             int nparticles,
+                                             bool auto_ghost = true,
+                                             std::vector<TessStats>* stats =
+                                                 nullptr) {
   const double domain = 6.0;
   std::vector<std::vector<std::byte>> bytes(
       static_cast<std::size_t>(nranks));
+  if (stats != nullptr) stats->assign(static_cast<std::size_t>(nranks), {});
   Runtime::run(nranks, [&](Comm& c) {
     Decomposition d({0, 0, 0}, {domain, domain, domain},
                     Decomposition::factor(nranks), periodic);
     TessOptions opt;
-    opt.ghost = 0.3;  // small on purpose: forces doubling passes
-    opt.auto_ghost = true;
+    // Auto: small on purpose, forces doubling passes. Fixed: a few
+    // interparticle spacings, as a fixed-ghost run would use.
+    opt.ghost = auto_ghost ? 0.3 : 1.2;
+    opt.auto_ghost = auto_ghost;
     opt.incremental = true;
     opt.threads = 1;
     auto mesh = tess::core::standalone_tessellate(
         c, d,
         c.rank() == 0 ? chaos_particles(nparticles, domain)
                       : std::vector<Particle>{},
-        opt);
+        opt,
+        stats != nullptr ? &(*stats)[static_cast<std::size_t>(c.rank())]
+                         : nullptr);
     tess::diy::Buffer buf;
     mesh.serialize(buf);
     bytes[static_cast<std::size_t>(c.rank())] = buf.data();
@@ -221,34 +232,53 @@ TEST_F(ChaosFixture, ForcedExchangeFailureDegradesGracefully) {
   constexpr int kRanks = 2;
   constexpr int kParticles = 400;
 
-  faults().disarm();
-  const auto reference = run_auto(kRanks, true, kParticles);
+  for (const bool auto_ghost : {true, false}) {
+    SCOPED_TRACE(auto_ghost ? "auto ghost" : "fixed ghost");
+    faults().disarm();
+    const auto reference = run_auto(kRanks, true, kParticles, auto_ghost);
 
-  // Every ghost message (tag 100) is dropped with a recovery countdown of
-  // 12 ticks. One pass attempt spends 8 ticks per neighbor (4 timed
-  // receives x 2), so the first attempt of every exchange *must* fail and
-  // the pass is re-attempted receive-only; ticks 9-12 then release the
-  // message mid-retry. Counted ticks, not wall-clock: this path is taken
-  // deterministically on every pass.
-  faults().arm(FaultPlan::parse("drop:p=1,tag=100,recover=12"));
-  const auto degraded = run_auto(kRanks, true, kParticles);
-  const auto counts = faults().counts();
-  faults().disarm();
+    // Every ghost message (tag 100) is dropped with a recovery countdown of
+    // 12 ticks. One pass attempt spends 8 ticks per neighbor (4 timed
+    // receives x 2), so the first attempt of every exchange *must* fail and
+    // the pass is re-attempted receive-only; ticks 9-12 then release the
+    // message mid-retry. Counted ticks, not wall-clock: this path is taken
+    // deterministically on every pass.
+    faults().arm(FaultPlan::parse("drop:p=1,tag=100,recover=12"));
+    std::vector<TessStats> stats;
+    const auto degraded =
+        run_auto(kRanks, true, kParticles, auto_ghost, &stats);
+    const auto counts = faults().counts();
+    faults().disarm();
 
-  EXPECT_GT(counts.dropped, 0u);
-  EXPECT_EQ(counts.recovered, counts.dropped);
-  EXPECT_EQ(counts.lost, 0u);
-  for (int r = 0; r < kRanks; ++r)
-    EXPECT_EQ(degraded[static_cast<std::size_t>(r)],
-              reference[static_cast<std::size_t>(r)])
-        << "rank " << r;
+    EXPECT_GT(counts.dropped, 0u);
+    EXPECT_EQ(counts.recovered, counts.dropped);
+    EXPECT_EQ(counts.lost, 0u);
+    for (int r = 0; r < kRanks; ++r) {
+      const auto& s = stats[static_cast<std::size_t>(r)];
+      EXPECT_EQ(degraded[static_cast<std::size_t>(r)],
+                reference[static_cast<std::size_t>(r)])
+          << "rank " << r;
+      // Abandoned exchange attempts are not passes.
+      EXPECT_EQ(static_cast<std::size_t>(s.auto_iterations),
+                s.iterations.size())
+          << "rank " << r;
+      if (!auto_ghost) {
+        EXPECT_EQ(s.auto_iterations, 1) << "rank " << r;
+      }
+    }
+  }
 }
 
 TEST_F(ChaosFixture, UnrecoverableExchangeFailsWithTimeoutNotHang) {
   // recover far beyond the total failed-pass budget: tessellation must give
   // up with CommTimeoutError after kMaxFailedExchangePasses, never wedge.
-  faults().arm(FaultPlan::parse("drop:p=1,tag=100,recover=1000000"));
-  EXPECT_THROW(run_auto(2, true, 200), tess::comm::CommTimeoutError);
+  for (const bool auto_ghost : {true, false}) {
+    SCOPED_TRACE(auto_ghost ? "auto ghost" : "fixed ghost");
+    faults().arm(FaultPlan::parse("drop:p=1,tag=100,recover=1000000"));
+    EXPECT_THROW(run_auto(2, true, 200, auto_ghost),
+                 tess::comm::CommTimeoutError);
+    faults().disarm();
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -211,8 +211,14 @@ TEST(IncrementalTess, FixedModeRecordsOneIteration) {
                       : std::vector<Particle>{},
         opt, &stats);
     ASSERT_EQ(stats.iterations.size(), 1u);
-    EXPECT_EQ(stats.iterations[0].ghost_sent, stats.ghost_sent);
-    EXPECT_EQ(stats.iterations[0].ghost_received, stats.ghost_received);
-    EXPECT_DOUBLE_EQ(stats.iterations[0].ghost, 2.0);
+    EXPECT_EQ(stats.auto_iterations, 1);
+    const auto& pass = stats.iterations[0];
+    EXPECT_EQ(pass.ghost_sent, stats.ghost_sent);
+    EXPECT_EQ(pass.ghost_received, stats.ghost_received);
+    EXPECT_DOUBLE_EQ(pass.ghost, 2.0);
+    // The one pass builds every local site, so its counts are the totals.
+    EXPECT_EQ(pass.cells_built, stats.local_particles);
+    EXPECT_EQ(pass.cells_incomplete, stats.cells_incomplete);
+    EXPECT_EQ(pass.cells_uncertified, stats.cells_uncertified);
   });
 }

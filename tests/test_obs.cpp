@@ -403,6 +403,84 @@ TEST(ObsStats, FinalizeRecomputesFromIterations) {
 }
 
 // ---------------------------------------------------------------------------
+// Tessellation span accounting: collective verdicts are wait spans of their
+// own, never inside the cell-build span.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct TessTrace {
+  TraceDump dump;
+  std::vector<TessStats> stats;  // per rank
+};
+
+TessTrace traced_tessellation(bool auto_ghost) {
+  constexpr int kRanks = 2;
+  constexpr double kDomain = 6.0;
+  const auto particles = clustered_particles(600, kDomain);
+  Tracer::instance().set_enabled(true);
+  Tracer::instance().clear();
+  TessTrace out;
+  out.stats.resize(kRanks);
+  Runtime::run(kRanks, [&](Comm& c) {
+    Decomposition d({0, 0, 0}, {kDomain, kDomain, kDomain},
+                    Decomposition::factor(kRanks), true);
+    TessOptions opt;
+    opt.ghost = 0.3;
+    opt.auto_ghost = auto_ghost;
+    tess::core::standalone_tessellate(
+        c, d, c.rank() == 0 ? particles : std::vector<Particle>{}, opt,
+        &out.stats[static_cast<std::size_t>(c.rank())]);
+  });
+  out.dump = Tracer::instance().drain();
+  Tracer::instance().set_enabled(false);
+  return out;
+}
+
+/// Per-rank spans named `name`, over every lane of that rank.
+std::vector<std::vector<tess::obs::SpanRecord>> spans_by_rank(
+    const TraceDump& dump, const char* name, int nranks) {
+  std::vector<std::vector<tess::obs::SpanRecord>> out(
+      static_cast<std::size_t>(nranks));
+  for (const auto* lane : active_lanes(dump))
+    for (const auto& span : lane->spans)
+      if (lane->rank >= 0 && lane->rank < nranks &&
+          std::string(span.name) == name)
+        out[static_cast<std::size_t>(lane->rank)].push_back(span);
+  return out;
+}
+
+}  // namespace
+
+TEST(ObsTrace, AutoGhostVerdictWaitsAreOnePerPassOutsideCellBuild) {
+  const auto run = traced_tessellation(true);
+  EXPECT_EQ(run.dump.total_dropped(), 0u);
+  const auto verdicts = spans_by_rank(run.dump, "tess.verdict.wait", 2);
+  const auto builds = spans_by_rank(run.dump, "tess.build_cells", 2);
+  for (std::size_t r = 0; r < 2; ++r) {
+    const std::size_t passes = run.stats[r].iterations.size();
+    ASSERT_GT(passes, 1u) << "expected several auto-ghost passes";
+    EXPECT_EQ(verdicts[r].size(), passes) << "rank " << r;
+    EXPECT_EQ(builds[r].size(), passes) << "rank " << r;
+    for (const auto& b : builds[r])
+      for (const auto& v : verdicts[r])
+        EXPECT_FALSE(b.t0_ns <= v.t0_ns && v.t1_ns <= b.t1_ns)
+            << "verdict inside tess.build_cells on rank " << r;
+  }
+}
+
+TEST(ObsTrace, FixedGhostRunsNoVerdict) {
+  const auto run = traced_tessellation(false);
+  const auto verdicts = spans_by_rank(run.dump, "tess.verdict.wait", 2);
+  const auto builds = spans_by_rank(run.dump, "tess.build_cells", 2);
+  for (std::size_t r = 0; r < 2; ++r) {
+    EXPECT_EQ(run.stats[r].iterations.size(), 1u) << "rank " << r;
+    EXPECT_EQ(builds[r].size(), 1u) << "rank " << r;
+    EXPECT_TRUE(verdicts[r].empty()) << "rank " << r;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Exporters
 // ---------------------------------------------------------------------------
 
