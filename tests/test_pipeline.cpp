@@ -183,11 +183,16 @@ TEST(BoundedQueue, PopBlocksUntilPushOrClose) {
 // Byte-identity: pipelined output == serial output
 // ---------------------------------------------------------------------------
 
+// gtest names each case after the bytes of its parameter, so the struct
+// must have no padding: a bool here would leave three uninitialised bytes
+// in every name and rename the cases from one build to the next.
 struct IdentityCase {
   int nranks;
   int threads;
-  bool periodic;
+  int periodic;  // 0 or 1
 };
+static_assert(sizeof(IdentityCase) == 3 * sizeof(int),
+              "IdentityCase must have no padding bytes");
 
 class PipelineIdentity : public ::testing::TestWithParam<IdentityCase> {};
 
@@ -196,7 +201,7 @@ TEST_P(PipelineIdentity, PipelinedFilesMatchSerial) {
   LoopConfig cfg;
   cfg.nranks = p.nranks;
   cfg.threads = p.threads;
-  cfg.periodic = p.periodic;
+  cfg.periodic = p.periodic != 0;
   // Per-config path: ctest may run the parameterized cases concurrently.
   const std::string tag = "r" + std::to_string(p.nranks) + "t" +
                           std::to_string(p.threads) +
@@ -221,10 +226,10 @@ TEST_P(PipelineIdentity, PipelinedFilesMatchSerial) {
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, PipelineIdentity,
-    ::testing::Values(IdentityCase{2, 1, true}, IdentityCase{2, 1, false},
-                      IdentityCase{2, 4, true}, IdentityCase{2, 4, false},
-                      IdentityCase{4, 1, true}, IdentityCase{4, 1, false},
-                      IdentityCase{4, 4, true}, IdentityCase{4, 4, false}));
+    ::testing::Values(IdentityCase{2, 1, 1}, IdentityCase{2, 1, 0},
+                      IdentityCase{2, 4, 1}, IdentityCase{2, 4, 0},
+                      IdentityCase{4, 1, 1}, IdentityCase{4, 1, 0},
+                      IdentityCase{4, 4, 1}, IdentityCase{4, 4, 0}));
 
 // ---------------------------------------------------------------------------
 // Backpressure: a slow writer bounds in-flight snapshots
