@@ -357,6 +357,7 @@ BlockMesh Tessellator::run_passes(const std::vector<diy::Particle>& mine) {
     };
     std::vector<ChunkStat> chunk_stats(num_chunks);
     const std::uint64_t cuts_before = builder->cuts_attempted();
+    const std::uint64_t noop_before = builder->clips_noop();
     const auto backend_stats_before = builder->backend_stats();
     const auto exact_before = geom::exact_fallback_count();
     // Pause the serial timer over the parallel loop: the calling thread
@@ -452,6 +453,7 @@ BlockMesh Tessellator::run_passes(const std::vector<diy::Particle>& mine) {
     TESS_COUNT("tess.ghost_received", iter.ghost_received);
     TESS_COUNT("tess.cells_built", np);
     TESS_COUNT("geom.cuts", builder->cuts_attempted() - cuts_before);
+    TESS_COUNT("geom.clips_noop", builder->clips_noop() - noop_before);
     emit_backend_metrics(backend_, backend_stats_before,
                          builder->backend_stats(),
                          builder->cuts_attempted() - cuts_before, exact_before);

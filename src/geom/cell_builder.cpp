@@ -149,6 +149,7 @@ void CellBuilder::build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
   cell.reset(s, box_min, box_max);
   scratch.backend = backend_;
   std::uint64_t cuts = 0;
+  const std::uint64_t noop_start = scratch.clips_noop;
   std::uint64_t cand_seen = 0, cand_kept = 0, batches = 0, lanes = 0;
 
   // Site's bin coordinates.
@@ -171,6 +172,8 @@ void CellBuilder::build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
   auto merge_counters = [&] {
     scratch.cuts_attempted += cuts;
     cuts_.fetch_add(cuts, std::memory_order_relaxed);
+    clips_noop_.fetch_add(scratch.clips_noop - noop_start,
+                          std::memory_order_relaxed);
     cand_seen_.fetch_add(cand_seen, std::memory_order_relaxed);
     cand_kept_.fetch_add(cand_kept, std::memory_order_relaxed);
     batches_.fetch_add(batches, std::memory_order_relaxed);

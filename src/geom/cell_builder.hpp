@@ -114,6 +114,13 @@ class CellBuilder {
     return cuts_.load(std::memory_order_relaxed);
   }
 
+  /// Total clip() calls across all build() calls that left the cell
+  /// unchanged because no live vertex lay outside the bisector. Merged from
+  /// the caller's ClipScratch once per build, like cuts_attempted().
+  [[nodiscard]] std::uint64_t clips_noop() const {
+    return clips_noop_.load(std::memory_order_relaxed);
+  }
+
   [[nodiscard]] BackendStats backend_stats() const {
     BackendStats s;
     s.cand_seen = cand_seen_.load(std::memory_order_relaxed);
@@ -156,6 +163,7 @@ class CellBuilder {
   std::vector<int> csr_cursor_;  // counting-sort scratch
 
   mutable std::atomic<std::uint64_t> cuts_{0};
+  mutable std::atomic<std::uint64_t> clips_noop_{0};
   mutable std::atomic<std::uint64_t> cand_seen_{0};
   mutable std::atomic<std::uint64_t> cand_kept_{0};
   mutable std::atomic<std::uint64_t> batches_{0};

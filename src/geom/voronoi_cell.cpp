@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <unordered_set>
 
 #include "geom/kernels.hpp"
 
@@ -13,6 +12,9 @@ namespace {
 
 // Relative tolerance for classifying a vertex as on the kept side of a cut
 // plane. On-plane vertices count as inside so tangent cuts are no-ops.
+// `vert_scale` is max |n·v| over every vertex the cell has stored since its
+// last reset() or compact(), including those that earlier cuts removed; the
+// tolerance is monotone in it.
 inline double plane_eps(const Plane& p, double vert_scale) {
   return 1e-12 * (std::fabs(p.d) + vert_scale + 1.0);
 }
@@ -35,6 +37,7 @@ void VoronoiCell::reset(const Vec3& site, const Vec3& box_min, const Vec3& box_m
   site_ = site;
   verts_.clear();
   gens_.clear();
+  removed_.clear();
   cut_gens_.clear();
   // Corner i has bit0 -> x, bit1 -> y, bit2 -> z (0 = min side).
   verts_.reserve(8);
@@ -89,30 +92,43 @@ bool VoronoiCell::clip(const Plane& plane) { return clip(plane, tls_scratch()); 
 bool VoronoiCell::clip(const Plane& plane, ClipScratch& s) {
   if (faces_.empty()) return false;
 
-  // Signed distances for every stored vertex (unused ones are harmless),
-  // batched through the shared kernel TU so scalar and SIMD backends get
-  // bitwise-equal distances (see geom/kernels.hpp).
+  // Signed distances of the live vertices, batched through the shared
+  // kernel TU so scalar and SIMD backends get bitwise-equal distances (see
+  // geom/kernels.hpp).
   const std::size_t nv0 = verts_.size();
   double vert_scale = 0.0;
   s.dist.resize(nv0);
   kernels::plane_distances(s.backend, verts_.data(), nv0, plane.n, plane.d,
                            s.dist.data(), &vert_scale);
-  const double eps = plane_eps(plane, vert_scale);
+  double eps = plane_eps(plane, vert_scale);
   auto outside = [&](int v) { return s.dist[static_cast<std::size_t>(v)] > eps; };
+  auto count_outside = [&] {
+    std::size_t n = 0;
+    for (std::size_t v = 0; v < nv0; ++v) n += s.dist[v] > eps ? 1 : 0;
+    return n;
+  };
 
-  bool any_out = false, all_out = true;
-  for (const auto& f : faces_)
-    for (int v : f.verts) {
-      if (outside(v)) {
-        any_out = true;
-      } else {
-        all_out = false;
-      }
+  std::size_t num_out = count_outside();
+  if (num_out > 0 && !removed_.empty()) {
+    // The tolerance also scales with the removed vertices. It only grows
+    // with them, so the no-op verdict above is already exact; a cut must
+    // be confirmed against the full scale.
+    double removed_scale = 0.0;
+    s.dist.resize(nv0 + removed_.size());
+    kernels::plane_distances(s.backend, removed_.data(), removed_.size(),
+                             plane.n, plane.d, s.dist.data() + nv0,
+                             &removed_scale);
+    if (removed_scale > vert_scale) {
+      eps = plane_eps(plane, removed_scale);
+      num_out = count_outside();
     }
-  if (!any_out) return false;
-  if (all_out) {
-    faces_.clear();
-    max_radius2_ = 0.0;
+  }
+  if (num_out == 0) {
+    ++s.clips_noop;
+    return false;
+  }
+  if (num_out == nv0) {
+    clear();
     return true;
   }
 
@@ -134,6 +150,7 @@ bool VoronoiCell::clip(const Plane& plane, ClipScratch& s) {
   };
   s.cut_vertex.clear();
   s.cap_next.clear();
+  s.remap.assign(nv0, 0);
   auto intersect = [&](int u, int v) -> int {
     const auto key = ukey(u, v);
     for (const auto& [k, idx] : s.cut_vertex)
@@ -149,6 +166,7 @@ bool VoronoiCell::clip(const Plane& plane, ClipScratch& s) {
     gens_.push_back({plane.source, kNoGenerator, kNoGenerator});
     s.cut_vertex.emplace_back(key, idx);
     s.cap_next.push_back(-1);
+    s.remap.push_back(0);
     return idx;
   };
 
@@ -188,6 +206,10 @@ bool VoronoiCell::clip(const Plane& plane, ClipScratch& s) {
       slot = exit_w;
     }
     if (s.loop.size() >= 3) {
+      // Mark the survivors. A face that crosses the plane keeps an inside
+      // vertex and both crossings, so every cut vertex (and every cap
+      // vertex) lands in some kept loop.
+      for (int v : s.loop) s.remap[static_cast<std::size_t>(v)] = 1;
       auto& nf = s.faces_buf.emplace_back();
       nf.source = f.source;
       nf.plane_n = f.plane_n;
@@ -273,9 +295,41 @@ bool VoronoiCell::clip(const Plane& plane, ClipScratch& s) {
   // Swap instead of move: faces_ adopts the new faces and the scratch keeps
   // the old storage (and its face-loop capacities) for the next cut.
   faces_.swap(s.faces_buf);
-  if (faces_.size() < 4) faces_.clear();  // a valid polyhedron needs >= 4 faces
+  if (faces_.size() < 4) {  // a valid polyhedron needs >= 4 faces
+    clear();
+    return true;
+  }
+  drop_removed_vertices(s);
   recompute_radius();
   return true;
+}
+
+void VoronoiCell::drop_removed_vertices(ClipScratch& s) {
+  // Compact in place, survivors in creation order: compact()'s weld and
+  // canonicalize()'s renumbering then pick the same representatives as if
+  // the removed vertices were still stored.
+  int next = 0;
+  for (std::size_t v = 0; v < verts_.size(); ++v) {
+    if (s.remap[v] == 0) {
+      removed_.push_back(verts_[v]);
+      s.remap[v] = -1;
+      continue;
+    }
+    verts_[static_cast<std::size_t>(next)] = verts_[v];
+    gens_[static_cast<std::size_t>(next)] = gens_[v];
+    s.remap[v] = next++;
+  }
+  verts_.resize(static_cast<std::size_t>(next));
+  gens_.resize(static_cast<std::size_t>(next));
+  for (auto& f : faces_)
+    for (int& v : f.verts) v = s.remap[static_cast<std::size_t>(v)];
+}
+
+void VoronoiCell::clear() {
+  faces_.clear();
+  verts_.clear();
+  gens_.clear();
+  max_radius2_ = 0.0;
 }
 
 void VoronoiCell::add_generator(int vertex, std::int64_t source) {
@@ -301,24 +355,16 @@ bool VoronoiCell::complete() const {
 
 void VoronoiCell::recompute_radius() {
   max_radius2_ = 0.0;
-  for (const auto& f : faces_)
-    for (int v : f.verts)
-      max_radius2_ =
-          std::max(max_radius2_, dist2(site_, verts_[static_cast<std::size_t>(v)]));
+  for (const Vec3& v : verts_) max_radius2_ = std::max(max_radius2_, dist2(site_, v));
 }
 
 double VoronoiCell::max_vertex_separation2() const {
-  // Collect the used vertices once; cells are small (tens of vertices), so
-  // the quadratic pass is cheap.
-  std::unordered_set<int> used;
-  for (const auto& f : faces_) used.insert(f.verts.begin(), f.verts.end());
+  // Every stored vertex is live; cells are small (tens of vertices), so the
+  // quadratic pass is cheap.
   double best = 0.0;
-  for (auto it = used.begin(); it != used.end(); ++it) {
-    auto jt = it;
-    for (++jt; jt != used.end(); ++jt)
-      best = std::max(best, dist2(verts_[static_cast<std::size_t>(*it)],
-                                  verts_[static_cast<std::size_t>(*jt)]));
-  }
+  for (std::size_t i = 0; i < verts_.size(); ++i)
+    for (std::size_t j = i + 1; j < verts_.size(); ++j)
+      best = std::max(best, dist2(verts_[i], verts_[j]));
   return best;
 }
 
@@ -400,6 +446,8 @@ void VoronoiCell::prune_degenerate_faces() {
 }
 
 void VoronoiCell::compact() {
+  // The renumbered cell is a fresh start for the clip tolerance.
+  removed_.clear();
   prune_degenerate_faces();
 
   // Weld coincident vertices (grazing cuts can create the same geometric

@@ -18,7 +18,8 @@
 // ClipScratch that is cleared and reused across cuts and across cells, and
 // face vertex loops use inline small-buffer storage. A cell object itself
 // can be reset() and reused so its vertex/face arrays keep their capacity
-// from one site to the next.
+// from one site to the next. Every cut that changes the cell drops the
+// vertices it removed, so each plane is tested only against the live cell.
 #pragma once
 
 #include <array>
@@ -127,6 +128,9 @@ class VoronoiCell {
   [[nodiscard]] Vec3 centroid() const;
 
   [[nodiscard]] const std::vector<Face>& faces() const { return faces_; }
+  /// The live vertices: every stored vertex is referenced by some face (an
+  /// emptied cell has none). Between compact() calls they stay in creation
+  /// order.
   [[nodiscard]] const std::vector<Vec3>& vertices() const { return verts_; }
   /// The three plane sources that generate each vertex (box sources < 0).
   [[nodiscard]] const std::vector<std::array<std::int64_t, 3>>& vertex_generators()
@@ -138,9 +142,12 @@ class VoronoiCell {
   /// cell's natural (Delaunay) neighbors.
   [[nodiscard]] std::vector<std::int64_t> neighbor_ids() const;
 
-  /// Drop vertices not referenced by any face and renumber face loops.
-  /// Also removes zero-area faces left by bisector planes that graze the
-  /// cell exactly along an edge or corner (degenerate, e.g. lattice inputs).
+  /// Tidy the cell for output: remove zero-area faces left by bisector
+  /// planes that graze the cell exactly along an edge or corner (degenerate,
+  /// e.g. lattice inputs), weld coincident vertices, drop collinear loop
+  /// vertices, and renumber the vertices in face order. Clipping already
+  /// keeps only live vertices; compact() drops just the ones this tidying
+  /// leaves unreferenced.
   void compact();
 
   /// Rewrite the cell into a canonical, construction-path-independent form
@@ -162,11 +169,21 @@ class VoronoiCell {
   void prune_degenerate_faces();
   void recompute_radius();
   void add_generator(int vertex, std::int64_t source);
+  /// Drop the vertices of a changing cut that no new face loop marked in
+  /// `scratch.remap`, keeping the survivors in creation order.
+  void drop_removed_vertices(ClipScratch& scratch);
+  /// Empty the cell: no faces, no vertices, zero radius.
+  void clear();
 
   Vec3 site_;
   std::vector<Vec3> verts_;
   std::vector<std::array<std::int64_t, 3>> gens_;
   std::vector<Face> faces_;
+  /// Vertices that cuts removed since the last reset() or compact(). The
+  /// clip tolerance scales with every vertex the cell has stored, removed
+  /// ones included, so clip() scans this list whenever the live vertices
+  /// alone would cut the cell (see plane_eps in voronoi_cell.cpp).
+  std::vector<Vec3> removed_;
   /// Raw generator position of every bisector plane that cut the cell, in
   /// cut order. Unlike faces_, entries survive compact() dropping a
   /// degenerate face, so canonicalize() can recover a sliver vertex's full
@@ -180,7 +197,9 @@ class VoronoiCell {
 /// clipped geometry is bit-identical whether a scratch is fresh or reused.
 /// After a warm-up cell, steady-state clipping performs no heap allocation.
 struct ClipScratch {
-  std::vector<double> dist;  ///< signed distance of each vertex to the plane
+  /// Signed distance of each live vertex to the plane, followed by those of
+  /// the cell's removed vertices when clip() needs their tolerance scale.
+  std::vector<double> dist;
   /// New vertex per cut edge, keyed by the undirected edge (packed u,v).
   /// A convex cut crosses few edges, so a flat array with linear search
   /// replaces the per-cut unordered_map.
@@ -191,6 +210,9 @@ struct ClipScratch {
   std::vector<int> loop;                  ///< clipped loop of the current face
   std::vector<VoronoiCell::Face> faces_buf;  ///< double buffer for new faces
   std::vector<int> cap_verts;             ///< degenerate-cap fallback order
+  /// Per vertex of a changing cut: nonzero once a new face loop uses it,
+  /// then its index after the removed vertices are dropped (-1 if removed).
+  std::vector<int> remap;
 
   /// Candidate (dist2, index) pairs for the cell builder's ring sweep.
   /// Sorted by (dist2, id, position) — a key independent of point-array
@@ -208,6 +230,10 @@ struct ClipScratch {
   /// Bisector cuts attempted through this scratch (per-thread accumulator;
   /// merged by the owner, see CellBuilder::cuts_attempted).
   std::uint64_t cuts_attempted = 0;
+  /// clip() calls through this scratch that left a non-empty cell unchanged
+  /// because no live vertex lay outside the plane (per-thread accumulator;
+  /// merged by the owner, see CellBuilder::clips_noop).
+  std::uint64_t clips_noop = 0;
 };
 
 }  // namespace tess::geom

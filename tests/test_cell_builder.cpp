@@ -161,3 +161,28 @@ TEST(CellBuilder, ClusteredPointsStillPartition) {
     total += builder.build(s, {0, 0, 0}, {1, 1, 1}).volume();
   EXPECT_NEAR(total, 1.0, 1e-8);
 }
+
+TEST(CellBuilder, ClipsNoopMatchesReplayedCuts) {
+  // The builder's no-op count is the number of its cuts that leave the cell
+  // unchanged: replaying each traced cut sequence on a fresh cell and
+  // counting the cuts that return false gives the same total.
+  const auto pts = random_points(41, 300);
+  CellBuilder builder(pts, {}, {0, 0, 0}, {1, 1, 1});
+  tg::VoronoiCell cell(pts[0], {0, 0, 0}, {1, 1, 1});
+  tg::ClipScratch scratch;
+  CellBuilder::CellTrace trace;
+  std::uint64_t cuts = 0, noops = 0;
+  for (int s = 0; s < 300; s += 13) {
+    builder.build_traced(cell, scratch, s, {0, 0, 0}, {1, 1, 1}, trace);
+    tg::VoronoiCell replay(pts[static_cast<std::size_t>(s)], {0, 0, 0}, {1, 1, 1});
+    for (const std::int64_t id : trace.cut_ids) {
+      ++cuts;
+      if (!replay.cut(pts[static_cast<std::size_t>(id)], id)) ++noops;
+    }
+  }
+  EXPECT_EQ(builder.cuts_attempted(), cuts);
+  EXPECT_EQ(builder.clips_noop(), noops);
+  EXPECT_EQ(scratch.clips_noop, noops);
+  EXPECT_GT(noops, 0u);
+  EXPECT_LT(noops, cuts);
+}

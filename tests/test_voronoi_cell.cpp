@@ -32,6 +32,21 @@ void expect_euler(const VoronoiCell& cell) {
   EXPECT_EQ(V - E + F, 2) << "V=" << V << " E=" << E << " F=" << F;
 }
 
+// Every stored vertex belongs to the live cell: some face references it, and
+// each has its generator triple.
+void expect_all_vertices_live(const VoronoiCell& cell) {
+  ASSERT_EQ(cell.vertex_generators().size(), cell.vertices().size());
+  std::vector<char> used(cell.vertices().size(), 0);
+  for (const auto& f : cell.faces())
+    for (int v : f.verts) {
+      ASSERT_GE(v, 0);
+      ASSERT_LT(static_cast<std::size_t>(v), used.size());
+      used[static_cast<std::size_t>(v)] = 1;
+    }
+  EXPECT_EQ(std::count(used.begin(), used.end(), 1),
+            static_cast<std::ptrdiff_t>(used.size()));
+}
+
 }  // namespace
 
 TEST(VoronoiCell, InitialBox) {
@@ -183,10 +198,12 @@ TEST(VoronoiCell, MaxVertexSeparationBoundsDiameter) {
 TEST(VoronoiCell, CompactRemovesUnusedVertices) {
   VoronoiCell cell({0.25, 0.5, 0.5}, {0, 0, 0}, {1, 1, 1});
   cell.cut({0.75, 0.5, 0.5}, 1);
-  const auto before = cell.vertices().size();
+  // The cut itself drops the four corners it removed: only the half-box's
+  // 8 corners remain, and compact() has nothing left to remove.
+  EXPECT_EQ(cell.vertices().size(), 8u);
+  EXPECT_EQ(cell.vertex_generators().size(), 8u);
   cell.compact();
-  EXPECT_LT(cell.vertices().size(), before);
-  EXPECT_EQ(cell.vertices().size(), 8u);  // half-box has 8 corners
+  EXPECT_EQ(cell.vertices().size(), 8u);
   EXPECT_NEAR(cell.volume(), 0.5, 1e-12);
   expect_euler(cell);
 }
@@ -203,6 +220,79 @@ TEST(VoronoiCell, VolumeNeverIncreasesUnderCuts) {
     EXPECT_LE(v, vol + 1e-12);
     vol = v;
     expect_euler(cell);
+    expect_all_vertices_live(cell);
+  }
+}
+
+TEST(VoronoiCell, EmptiedCellStoresNoVertices) {
+  VoronoiCell cell({0.1, 0.5, 0.5}, {0, 0, 0}, {1, 1, 1});
+  ASSERT_TRUE(cell.clip({{1, 0, 0}, -1.0, 42}));
+  EXPECT_TRUE(cell.empty());
+  EXPECT_TRUE(cell.vertices().empty());
+  EXPECT_TRUE(cell.vertex_generators().empty());
+  EXPECT_EQ(cell.max_radius2(), 0.0);
+  EXPECT_EQ(cell.max_vertex_separation2(), 0.0);
+}
+
+TEST(VoronoiCell, ClipsNoopCountsUnchangedCuts) {
+  tg::ClipScratch scratch;
+  VoronoiCell cell({0.25, 0.5, 0.5}, {0, 0, 0}, {1, 1, 1});
+  EXPECT_TRUE(cell.cut({0.75, 0.5, 0.5}, 1, scratch));   // x <= 0.5
+  EXPECT_FALSE(cell.cut({5, 5, 5}, 2, scratch));         // far away
+  EXPECT_FALSE(cell.cut({0.75, 0.5, 0.5}, 3, scratch));  // on the face
+  EXPECT_FALSE(cell.cut({1.5, 0.5, 0.5}, 4, scratch));   // x <= 0.875
+  EXPECT_TRUE(cell.cut({0.25, 0.9, 0.5}, 5, scratch));   // y <= 0.7
+  EXPECT_FALSE(cell.cut({0.25, 0.9, 0.5}, 6, scratch));  // repeated
+  EXPECT_EQ(scratch.clips_noop, 4u);
+  // Emptying the cell changes it; clipping an empty cell is not counted.
+  EXPECT_TRUE(cell.clip({{1, 0, 0}, -1.0, 7}, scratch));
+  EXPECT_FALSE(cell.cut({5, 5, 5}, 8, scratch));
+  EXPECT_EQ(scratch.clips_noop, 4u);
+}
+
+// The clip tolerance scales with every vertex the cell has stored since its
+// reset, including those earlier cuts removed. Here the removed corners of
+// a huge seed box widen the tolerance past the distance of a live corner,
+// so the cut is a no-op; the same cut on a fresh box of the same shape,
+// whose tolerance comes from the live corners alone, does change the cell.
+TEST(VoronoiCell, ClipToleranceCountsRemovedVertices) {
+  for (const auto backend : {tg::TessBackend::kScalar, tg::TessBackend::kSimd}) {
+    SCOPED_TRACE(backend == tg::TessBackend::kSimd ? "simd" : "scalar");
+    tg::ClipScratch scratch;
+    scratch.backend = backend;
+    const double big = 1e6;
+    VoronoiCell cell({0, 0, 0}, {-big, -big, -big}, {big, big, big});
+    std::int64_t id = 0;
+    for (int axis = 0; axis < 3; ++axis)
+      for (const double sign : {1.0, -1.0}) {
+        Vec3 n{};
+        n[static_cast<std::size_t>(axis)] = sign;
+        ASSERT_TRUE(cell.clip({n, 1.0, id++}, scratch));
+      }
+    ASSERT_EQ(cell.vertices().size(), 8u);  // the cube [-1, 1]^3
+    const std::vector<Vec3> verts = cell.vertices();
+    const std::size_t faces = cell.faces().size();
+    const double volume = cell.volume();
+
+    // The corner (1, 1, 1) lies about 1e-9 beyond this plane: outside a
+    // tolerance from the live corners (~7e-12), inside one that includes
+    // the removed box corners (~3e-6).
+    const tg::Plane plane{{1, 1, 1}, 3.0 - 1e-9, id++};
+    const std::uint64_t noop_before = scratch.clips_noop;
+    EXPECT_FALSE(cell.clip(plane, scratch));
+    EXPECT_EQ(scratch.clips_noop, noop_before + 1);
+    ASSERT_EQ(cell.vertices().size(), verts.size());
+    for (std::size_t i = 0; i < verts.size(); ++i) {
+      EXPECT_EQ(cell.vertices()[i].x, verts[i].x);
+      EXPECT_EQ(cell.vertices()[i].y, verts[i].y);
+      EXPECT_EQ(cell.vertices()[i].z, verts[i].z);
+    }
+    EXPECT_EQ(cell.faces().size(), faces);
+    EXPECT_EQ(cell.volume(), volume);
+
+    VoronoiCell fresh({0, 0, 0}, {-1, -1, -1}, {1, 1, 1});
+    EXPECT_TRUE(fresh.clip(plane, scratch));
+    EXPECT_EQ(fresh.vertices().size(), 10u);  // the corner became a triangle
   }
 }
 
