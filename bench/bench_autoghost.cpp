@@ -110,7 +110,7 @@ BENCHMARK(BM_AutoGhost_Incremental)->Arg(2000)->Arg(4000)->UseRealTime()->Unit(b
 // Custom main instead of BENCHMARK_MAIN(): with TESS_OBS_EXPORT=<prefix>
 // in the environment, the run also emits <prefix>.trace.json (one
 // chrome://tracing lane per rank x thread showing the exchange / build /
-// retry spans) and <prefix>.summary.{json,tsv}.
+// retry spans) and <prefix>.summary.json.
 // --fault-spec=SPEC arms the fault injector (comm/fault.hpp grammar) for
 // the whole run; --fault-seed=N seeds it (default: TESS_FAULT_SEED, else 1).
 // Both are stripped from argv before Google Benchmark sees them. With a

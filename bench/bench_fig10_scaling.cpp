@@ -80,13 +80,9 @@ void insitu_loop_section(bool small, bool run_serial, bool run_pipelined) {
     cfg.output_pattern =
         std::string("/tmp/tess_fig10_insitu_") +
         (pipelined ? "pipe" : "serial") + "_%d.bin";
-    cfg.stats_path = std::string("/tmp/tess_fig10_insitu_") +
-                     (pipelined ? "pipe" : "serial") + ".jsonl";
-    std::remove(cfg.stats_path.c_str());
     cfg.pipelined = pipelined;
     const auto r = bench::run_insitu_loop(ranks, cfg);
     remove_step_files(cfg.output_pattern, steps);
-    std::remove(cfg.stats_path.c_str());
     // Modeled wall on a shared-core host: serial pays the stage sum, the
     // pipeline pays only the slowest stage (plus hand-off, which the
     // pipeline.stall.* spans expose).
@@ -286,7 +282,7 @@ int main(int argc, char** argv) {
     const std::string prefix = bench::obs_begin("BENCH_fig10_clustered");
     const int failures = clustered_section(small);
     bench::obs_export(prefix);
-    std::printf("observability: %s.summary.{json,tsv}, %s.trace.json\n",
+    std::printf("observability: %s.summary.json, %s.trace.json\n",
                 prefix.c_str(), prefix.c_str());
     return failures == 0 ? 0 : 1;
   }
@@ -380,7 +376,7 @@ int main(int argc, char** argv) {
 
   std::printf("%s\n", imbalance_md.c_str());
   bench::obs_export(prefix);
-  std::printf("observability: %s.summary.{json,tsv}, %s.trace.json, "
+  std::printf("observability: %s.summary.json, %s.trace.json, "
               "%s.imbalance.{md,tsv}\n",
               prefix.c_str(), prefix.c_str(), prefix.c_str());
   return 0;

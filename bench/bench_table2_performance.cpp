@@ -43,7 +43,7 @@ int main() {
 
   // This bench always produces a machine-readable companion to the table:
   // per-phase span totals plus every registered metric, to
-  // BENCH_table2.summary.{json,tsv} (prefix overridable via TESS_OBS_EXPORT).
+  // BENCH_table2.summary.json (prefix overridable via TESS_OBS_EXPORT).
   // obs_begin also arms the flight recorder, so a hang dumps diagnostics.
   const std::string prefix = tess::bench::obs_begin("BENCH_table2");
 
@@ -100,7 +100,7 @@ int main() {
               "time but shrinks with rank count; output grows with problem size\n");
 
   bench::obs_export(prefix);
-  std::printf("observability summary written to %s.summary.{json,tsv} "
+  std::printf("observability summary written to %s.summary.json "
               "(trace: %s.trace.json)\n", prefix.c_str(), prefix.c_str());
   return 0;
 }

@@ -97,14 +97,15 @@ struct InSituLoopConfig {
   core::TessOptions tess{};
   int steps = 10;              ///< simulation steps, one tessellation each
   std::string output_pattern;  ///< per-step path pattern ("%d" -> step)
-  std::string stats_path;      ///< jsonl cell-volume stats ("" = off)
   bool pipelined = false;      ///< false: serial reference loop
   int queue_depth = 1;
 };
 
 /// Drive the simulation `steps` steps with the tessellation + write after
 /// every step — serial (reference) or through core::InSituPipeline. Both
-/// modes produce byte-identical per-step files.
+/// modes produce byte-identical per-step files. Each step's cell-volume
+/// summary goes to the live stream as a {"k":"step"} record when one is
+/// armed (analysis::make_stats_streamer).
 InSituLoopResult run_insitu_loop(int nranks, const InSituLoopConfig& cfg);
 
 /// Tessellate a fixed particle set (no simulation) and report the same
@@ -143,9 +144,9 @@ bool obs_begin_from_env();
 /// Returns the resolved prefix.
 std::string obs_begin(const std::string& default_prefix);
 
-/// Write <prefix>.trace.json (chrome://tracing, one lane per rank x thread),
-/// <prefix>.summary.json, and <prefix>.summary.tsv for everything recorded
-/// since obs_begin_from_env(). No-op when TESS_OBS_EXPORT is unset.
+/// Write <prefix>.trace.json (chrome://tracing, one lane per rank x thread)
+/// and <prefix>.summary.json for everything recorded since
+/// obs_begin_from_env(). No-op when TESS_OBS_EXPORT is unset.
 void obs_export_from_env();
 
 /// Same export, to an explicit prefix (used by benches that always emit a

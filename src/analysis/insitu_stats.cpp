@@ -1,11 +1,9 @@
 #include "analysis/insitu_stats.hpp"
 
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#include "diy/blockio.hpp"
 #include "obs/stream.hpp"
 
 namespace tess::analysis {
@@ -67,9 +65,10 @@ StepStats reduce_step_stats(comm::Comm& comm, int step,
   return out;
 }
 
-std::string step_stats_jsonl(const StepStats& s) {
+std::string step_stats_record(const StepStats& s) {
   std::ostringstream os;
-  os << "{\"step\":" << s.step << ",\"cells\":" << s.cells
+  os << "{\"k\":\"step\",\"v\":2,\"t_ms\":" << obs::StreamWriter::now_ms()
+     << ",\"step\":" << s.step << ",\"cells\":" << s.cells
      << ",\"volume\":{\"mean\":" << s.volume.mean()
      << ",\"stddev\":" << s.volume.stddev()
      << ",\"min\":" << s.volume.min() << ",\"max\":" << s.volume.max()
@@ -87,28 +86,14 @@ std::string step_stats_jsonl(const StepStats& s) {
   return os.str();
 }
 
-std::string step_stats_stream_record(const StepStats& s) {
-  std::ostringstream os;
-  os << "{\"k\":\"step\",\"v\":1,\"t_ms\":" << obs::StreamWriter::now_ms()
-     << ',';
-  // Splice the legacy payload in behind the envelope: both are flat JSON
-  // objects, so dropping the payload's opening brace concatenates cleanly
-  // and keeps the two renderings byte-for-byte consistent.
-  os << step_stats_jsonl(s).substr(1);
-  return os.str();
-}
-
 std::function<void(comm::Comm&, int, const std::vector<double>&)>
-make_stats_streamer(std::string path, double lo, double hi, std::size_t bins) {
-  return [path = std::move(path), lo, hi, bins](
-             comm::Comm& comm, int step, const std::vector<double>& volumes) {
+make_stats_streamer(double lo, double hi, std::size_t bins) {
+  return [lo, hi, bins](comm::Comm& comm, int step,
+                        const std::vector<double>& volumes) {
+    auto* stream = obs::stream();
+    if (stream == nullptr) return;
     const auto stats = reduce_step_stats(comm, step, volumes, lo, hi, bins);
-    if (comm.rank() == 0) {
-      if (!path.empty())
-        diy::append_text_line(path, step_stats_jsonl(stats));
-      if (auto* stream = obs::stream())
-        stream->append_record(step_stats_stream_record(stats));
-    }
+    if (comm.rank() == 0) stream->append_record(step_stats_record(stats));
   };
 }
 

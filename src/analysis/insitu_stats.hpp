@@ -39,29 +39,22 @@ StepStats reduce_step_stats(comm::Comm& comm, int step,
                             const std::vector<double>& volumes, double lo,
                             double hi, std::size_t bins);
 
-/// One-line JSON rendering of a StepStats (for append-streaming; one
-/// object per line, jsonl).
-std::string step_stats_jsonl(const StepStats& s);
-
-/// The same payload wrapped as a live-stream record: the step_stats_jsonl
-/// object with a {"k":"step","v":1,"t_ms":...} envelope spliced in front,
-/// ready for obs::StreamWriter::append_record(). The stream parser
-/// flattens the numeric payload into dotted names ("volume.mean",
-/// "hist.lo", ...); the counts array is skipped by design.
-std::string step_stats_stream_record(const StepStats& s);
+/// One live-stream record for a StepStats: a {"k":"step","v":2,"t_ms":...}
+/// JSON object (no trailing newline), ready for
+/// obs::StreamWriter::append_record(). The stream parser flattens the
+/// numeric payload into dotted names ("volume.mean", "hist.lo", ...); the
+/// counts array is skipped by design.
+std::string step_stats_record(const StepStats& s);
 
 /// Ready-made pipeline hook (core::PipelineOptions::on_step is exactly
 /// this signature, but the dependency points analysis -> core only at the
-/// call site): reduces the step's cell volumes and, on rank 0, appends one
-/// JSON line per step to `path`. The line order matches step order because
-/// the pipeline's write stage invokes hooks in submission order.
-///
-/// When the live telemetry stream (obs/stream.hpp) is armed, rank 0 also
-/// appends the same payload as a {"k":"step"} record there, so one file
-/// carries the full per-step timeseries. The separate `path` file is the
-/// compatibility shim for the pre-stream format and will go away in the
-/// next major; pass an empty `path` to write only to the stream.
+/// call site): when the live telemetry stream (obs/stream.hpp) is armed,
+/// reduces the step's cell volumes and, on rank 0, appends one
+/// {"k":"step"} record per step to it. Records land in step order because
+/// the pipeline's write stage invokes hooks in submission order. With no
+/// stream armed the hook does nothing on any rank (the stream is
+/// process-global, so every rank agrees).
 std::function<void(comm::Comm&, int step, const std::vector<double>& volumes)>
-make_stats_streamer(std::string path, double lo, double hi, std::size_t bins);
+make_stats_streamer(double lo, double hi, std::size_t bins);
 
 }  // namespace tess::analysis

@@ -129,7 +129,7 @@ void InSituPipeline::write_loop() {
       TESS_COUNT("pipeline.steps", 1);
       if (auto* stream = obs::stream()) {
         // One per-rank record per step: this rank's stage times for the
-        // step, its counter/gauge slices as deltas. Then the collective
+        // step and its counter/gauge slices. Then the collective
         // rank-0 reduction record with histograms + quantiles — safe here
         // because the write plane runs collectives in submission order on
         // every rank, and streaming on/off is process-global.

@@ -58,27 +58,6 @@ std::string step_path(const std::string& pattern, int step) {
          pattern.substr(pos + 2);
 }
 
-void append_text_line(const std::string& path, const std::string& line) {
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (fd < 0) fail("open", path);
-  std::string buf = line;
-  buf.push_back('\n');
-  // A single write() to an O_APPEND fd is atomic for these line sizes, so
-  // concurrent appenders interleave whole lines, never fragments.
-  const char* p = buf.data();
-  std::size_t left = buf.size();
-  while (left > 0) {
-    const ssize_t n = ::write(fd, p, left);
-    if (n < 0) {
-      ::close(fd);
-      fail("append", path);
-    }
-    p += n;
-    left -= static_cast<std::size_t>(n);
-  }
-  ::close(fd);
-}
-
 std::uint64_t write_blocks(comm::Comm& comm, const std::string& path,
                            const Buffer& block) {
   TESS_SPAN("diy.write_blocks");

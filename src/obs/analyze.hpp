@@ -103,7 +103,7 @@ struct ImbalanceReport {
 // ---------------------------------------------------------------------------
 // Perf-regression comparison of two exported summaries (the gate behind
 // tools/obs_compare). Operates on the SummaryRow lists produced by
-// parse_summary_json / parse_summary_tsv.
+// parse_summary_json / parse_benchmark_json.
 // ---------------------------------------------------------------------------
 
 struct CompareOptions {

@@ -13,35 +13,9 @@ namespace tess::obs {
 
 namespace {
 
+using detail::json_escape;
+using detail::json_number;
 using detail::JsonReader;
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
 
 void append_per_rank(std::ostringstream& os,
                      const std::vector<std::pair<int, double>>& per_rank) {
@@ -50,7 +24,7 @@ void append_per_rank(std::ostringstream& os,
   for (const auto& [rank, v] : per_rank) {
     if (!first) os << ",";
     first = false;
-    os << "\"" << rank << "\":" << fmt_double(v);
+    os << "\"" << rank << "\":" << json_number(v);
   }
   os << "}";
 }
@@ -113,9 +87,9 @@ std::string chrome_trace_json(const TraceDump& dump) {
       sep();
       os << "{\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":" << lane.lane
          << ",\"name\":\"" << json_escape(span.name)
-         << "\",\"ts\":" << fmt_double(static_cast<double>(span.t0_ns) * 1e-3)
+         << "\",\"ts\":" << json_number(static_cast<double>(span.t0_ns) * 1e-3)
          << ",\"dur\":"
-         << fmt_double(static_cast<double>(span.t1_ns - span.t0_ns) * 1e-3)
+         << json_number(static_cast<double>(span.t1_ns - span.t0_ns) * 1e-3)
          << ",\"args\":{\"depth\":" << span.depth;
       if (span.arg != kSpanNoArg) os << ",\"arg\":" << span.arg;
       os << "}}";
@@ -134,10 +108,10 @@ std::string summary_json(const TraceDump& dump,
     const auto& a = aggs[i];
     os << (i == 0 ? "" : ",") << "\n    \"" << json_escape(a.name)
        << "\": {\"count\": " << a.count
-       << ", \"total_s\": " << fmt_double(a.total_s)
-       << ", \"min_s\": " << fmt_double(a.min_s)
-       << ", \"max_s\": " << fmt_double(a.max_s)
-       << ", \"mean_s\": " << fmt_double(a.mean_s()) << "}";
+       << ", \"total_s\": " << json_number(a.total_s)
+       << ", \"min_s\": " << json_number(a.min_s)
+       << ", \"max_s\": " << json_number(a.max_s)
+       << ", \"mean_s\": " << json_number(a.mean_s()) << "}";
   }
   os << "\n  },\n";
 
@@ -154,21 +128,21 @@ std::string summary_json(const TraceDump& dump,
     os << "\n  },\n";
   };
   emit_kind('c', "counters", [&os](const MetricSample& s) {
-    os << "{\"total\": " << fmt_double(s.value) << ", \"per_rank\": ";
+    os << "{\"total\": " << json_number(s.value) << ", \"per_rank\": ";
     append_per_rank(os, s.per_rank);
     os << "}";
   });
   emit_kind('g', "gauges", [&os](const MetricSample& s) {
-    os << "{\"value\": " << fmt_double(s.value) << ", \"per_rank\": ";
+    os << "{\"value\": " << json_number(s.value) << ", \"per_rank\": ";
     append_per_rank(os, s.per_rank);
     os << "}";
   });
   emit_kind('h', "histograms", [&os](const MetricSample& s) {
-    os << "{\"count\": " << fmt_double(s.value)
-       << ", \"sum\": " << fmt_double(s.sum)
-       << ", \"p50\": " << fmt_double(histogram_quantile(s.bins, 0.50))
-       << ", \"p90\": " << fmt_double(histogram_quantile(s.bins, 0.90))
-       << ", \"p99\": " << fmt_double(histogram_quantile(s.bins, 0.99))
+    os << "{\"count\": " << json_number(s.value)
+       << ", \"sum\": " << json_number(s.sum)
+       << ", \"p50\": " << json_number(histogram_quantile(s.bins, 0.50))
+       << ", \"p90\": " << json_number(histogram_quantile(s.bins, 0.90))
+       << ", \"p99\": " << json_number(histogram_quantile(s.bins, 0.99))
        << ", \"bins\": {";
     bool first = true;
     for (const auto& [floor, n] : s.bins) {
@@ -181,63 +155,6 @@ std::string summary_json(const TraceDump& dump,
   os << "  \"lanes\": " << dump.lanes.size()
      << ",\n  \"dropped_spans\": " << dump.total_dropped() << "\n}\n";
   return os.str();
-}
-
-std::string summary_tsv(const TraceDump& dump,
-                        const MetricsSnapshot& metrics) {
-  std::ostringstream os;
-  os << "kind\tname\tcount\ttotal\tmin\tmax\n";
-  for (const auto& a : aggregate_spans(dump))
-    os << "span\t" << a.name << "\t" << a.count << "\t" << fmt_double(a.total_s)
-       << "\t" << fmt_double(a.min_s) << "\t" << fmt_double(a.max_s) << "\n";
-  for (const auto& s : metrics.samples) {
-    switch (s.kind) {
-      case 'c':
-        os << "counter\t" << s.name << "\t1\t" << fmt_double(s.value)
-           << "\t0\t0\n";
-        break;
-      case 'g':
-        os << "gauge\t" << s.name << "\t1\t" << fmt_double(s.value)
-           << "\t0\t0\n";
-        break;
-      case 'h':
-        os << "histogram\t" << s.name << "\t" << fmt_double(s.value) << "\t"
-           << fmt_double(s.sum) << "\t"
-           << fmt_double(histogram_quantile(s.bins, 0.50)) << "\t"
-           << fmt_double(histogram_quantile(s.bins, 0.99)) << "\n";
-        break;
-      default: break;
-    }
-  }
-  return os.str();
-}
-
-std::vector<SummaryRow> parse_summary_tsv(const std::string& text) {
-  std::vector<SummaryRow> rows;
-  std::istringstream is(text);
-  std::string line;
-  bool header = true;
-  while (std::getline(is, line)) {
-    if (header) {
-      header = false;
-      continue;
-    }
-    if (line.empty()) continue;
-    SummaryRow row;
-    std::istringstream ls(line);
-    std::string count, total, min, max;
-    if (!std::getline(ls, row.kind, '\t') ||
-        !std::getline(ls, row.name, '\t') || !std::getline(ls, count, '\t') ||
-        !std::getline(ls, total, '\t') || !std::getline(ls, min, '\t') ||
-        !std::getline(ls, max, '\t'))
-      throw std::runtime_error("parse_summary_tsv: malformed row: " + line);
-    row.count = std::stod(count);
-    row.total = std::stod(total);
-    row.min = std::stod(min);
-    row.max = std::stod(max);
-    rows.push_back(std::move(row));
-  }
-  return rows;
 }
 
 std::vector<SummaryRow> parse_summary_json(const std::string& text) {

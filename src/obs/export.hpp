@@ -1,7 +1,7 @@
 // Exporters for the observability layer: chrome://tracing JSON (one lane
-// per rank×thread) and a flat machine-readable summary (JSON and TSV) of
-// per-phase span totals plus every registered metric — the format the
-// bench binaries emit natively and CI uploads for trend inspection.
+// per rank×thread) and a flat machine-readable summary JSON of per-phase
+// span totals plus every registered metric — the format the bench
+// binaries emit natively and CI uploads for trend inspection.
 #pragma once
 
 #include <cstdint>
@@ -42,14 +42,6 @@ struct SpanAgg {
 [[nodiscard]] std::string summary_json(const TraceDump& dump,
                                        const MetricsSnapshot& metrics);
 
-/// Same content as one row-per-line TSV:
-///   kind<TAB>name<TAB>count<TAB>total<TAB>min<TAB>max
-/// with kind in {span, counter, gauge, histogram}. Histogram rows reuse
-/// the min/max columns for p50/p99 (a histogram has no span-style min/max
-/// to report). Round-trips through parse_summary_tsv.
-[[nodiscard]] std::string summary_tsv(const TraceDump& dump,
-                                      const MetricsSnapshot& metrics);
-
 struct SummaryRow {
   std::string kind;
   std::string name;
@@ -57,16 +49,12 @@ struct SummaryRow {
   double total = 0.0;
   double min = 0.0;  ///< histogram rows: p50
   double max = 0.0;  ///< histogram rows: p99
-  /// Histogram rows parsed from JSON: lowest/highest occupied bucket floor
-  /// (-1 = unknown, e.g. TSV input). compare_summaries uses these to flag
+  /// Histogram rows: lowest/highest occupied bucket floor (-1 = unknown,
+  /// e.g. an empty histogram). compare_summaries uses these to flag
   /// bucket-layout changes between two summaries.
   double bins_lo = -1.0;
   double bins_hi = -1.0;
 };
-
-/// Parse summary_tsv output (header line skipped). Throws on malformed rows.
-[[nodiscard]] std::vector<SummaryRow> parse_summary_tsv(
-    const std::string& text);
 
 /// Parse a google-benchmark `--benchmark_format=json` file into rows of
 /// kind "bench": one row per benchmark, `count` = iterations, `total` =
@@ -81,11 +69,10 @@ struct SummaryRow {
 [[nodiscard]] std::vector<SummaryRow> parse_benchmark_json(
     const std::string& text, std::string* build_type = nullptr);
 
-/// Parse summary_json output into the same rows parse_summary_tsv yields
-/// (spans keep count/total/min/max; counters and gauges surface their value
-/// as `total`; histograms surface sample count as `count`, sample sum as
-/// `total`, p50/p99 as `min`/`max`, and the occupied bucket-floor range as
-/// `bins_lo`/`bins_hi`). Minimal parser for the summary schema — unknown
+/// Parse summary_json output into rows (spans keep count/total/min/max;
+/// counters and gauges surface their value as `total`; histograms surface
+/// sample count as `count`, sample sum as `total`, p50/p99 as `min`/`max`,
+/// and the occupied bucket-floor range as `bins_lo`/`bins_hi`). Minimal parser for the summary schema — unknown
 /// keys are skipped, malformed JSON throws.
 [[nodiscard]] std::vector<SummaryRow> parse_summary_json(
     const std::string& text);
@@ -99,10 +86,6 @@ inline void write_chrome_trace(const std::string& path,
 inline void write_summary_json(const std::string& path, const TraceDump& dump,
                                const MetricsSnapshot& metrics) {
   write_text_file(path, summary_json(dump, metrics));
-}
-inline void write_summary_tsv(const std::string& path, const TraceDump& dump,
-                              const MetricsSnapshot& metrics) {
-  write_text_file(path, summary_tsv(dump, metrics));
 }
 
 }  // namespace tess::obs

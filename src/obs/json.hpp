@@ -1,15 +1,51 @@
-// Minimal recursive-descent JSON reader shared by the observability
-// parsers (summary files in obs/export.cpp, stream records in
-// obs/stream.cpp) — just enough for their schemas: objects, arrays,
-// strings, numbers, and skippable nested values. Not a general-purpose
-// JSON library; malformed input throws std::runtime_error.
+// The JSON the observability layer reads and writes (summary files in
+// obs/export.cpp, stream records in obs/stream.cpp): one number format,
+// one string escape, and a minimal recursive-descent reader — just enough
+// for their schemas: objects, arrays, strings, numbers, and skippable
+// nested values. Not a general-purpose JSON library; malformed input
+// throws std::runtime_error.
 #pragma once
 
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace tess::obs::detail {
+
+/// `v` as a JSON number, to nine significant digits ("%.9g").
+inline std::string json_number(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.9g", v);
+  return buf;
+}
+
+/// `s` escaped for the inside of a JSON string (no surrounding quotes):
+/// `"` and `\` backslashed, \n and \t by name, other control characters
+/// as \u00XX, so JsonReader::string() gives back the original bytes.
+inline std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
 
 class JsonReader {
  public:

@@ -4,12 +4,10 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <mutex>
 #include <set>
 #include <sstream>
 
@@ -20,69 +18,53 @@ namespace tess::obs {
 
 namespace {
 
-void fmt_num(std::string& out, double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  out += buf;
+using detail::json_escape;
+using detail::json_number;
+
+/// Append `"name":` to a record under construction.
+void append_key(std::string& out, const std::string& name) {
+  out += '"';
+  out += json_escape(name);
+  out += "\":";
 }
 
-void json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
+/// Append `,"section":{...}` holding one `"name":<value>` member per entry
+/// of `entries`; nothing when it is empty.
+template <class Map, class Fn>
+void append_section(std::string& out, const char* section,
+                    const Map& entries, Fn&& value) {
+  if (entries.empty()) return;
+  out += ",\"";
+  out += section;
+  out += "\":{";
+  bool first = true;
+  for (const auto& [name, v] : entries) {
+    if (!first) out += ',';
+    first = false;
+    append_key(out, name);
+    value(out, v);
   }
-  out += '"';
+  out += '}';
 }
-
-struct HistState {
-  double count = 0.0;
-  double sum = 0.0;
-  std::map<std::uint64_t, double> bins;
-};
 
 }  // namespace
-
-// Delta state: what the previous record for each rank already told the
-// reader. Guarded by `mutex`, which also serializes record writes — the
-// O_APPEND atomicity only has to protect against OTHER processes
-// appending to the same file.
-struct StreamWriter::Impl {
-  std::mutex mutex;
-  struct RankState {
-    std::uint64_t emitted = 0;  ///< records so far (keyframe cadence)
-    std::map<std::string, double> counters;
-    std::map<std::string, double> gauges;
-    std::map<std::string, HistState> hists;
-    std::map<std::string, std::pair<double, double>> spans;
-  };
-  std::map<int, RankState> ranks;
-};
 
 double StreamWriter::now_ms() {
   return static_cast<double>(now_ns()) / 1e6;
 }
 
-StreamWriter::StreamWriter(StreamConfig config)
-    : config_(std::move(config)), impl_(std::make_unique<Impl>()) {
+StreamWriter::StreamWriter(StreamConfig config) : config_(std::move(config)) {
   if (config_.path.empty()) return;
-  if (config_.keyframe_every < 1) config_.keyframe_every = 1;
   fd_ = ::open(config_.path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
   if (fd_ < 0) return;
-  std::string line = "{\"k\":\"meta\",\"v\":1,\"seq\":";
-  fmt_num(line, static_cast<double>(seq_.fetch_add(1)));
+  std::string line = "{\"k\":\"meta\",\"v\":2,\"seq\":";
+  line += json_number(static_cast<double>(seq_.fetch_add(1)));
   line += ",\"t_ms\":";
-  fmt_num(line, now_ms());
+  line += json_number(now_ms());
   line += ",\"pid\":";
-  fmt_num(line, static_cast<double>(::getpid()));
+  line += json_number(static_cast<double>(::getpid()));
   line += ",\"interval_ms\":";
-  fmt_num(line, static_cast<double>(config_.interval_ms));
+  line += json_number(static_cast<double>(config_.interval_ms));
   line += "}\n";
   append_record_line(line);
 }
@@ -109,7 +91,7 @@ void StreamWriter::append_record(const std::string& json_object) {
   line.reserve(json_object.size() + 1);
   line += json_object;
   line += '\n';
-  std::lock_guard<std::mutex> lock(impl_->mutex);
+  std::lock_guard<std::mutex> lock(write_mutex_);
   append_record_line(line);
 }
 
@@ -130,8 +112,7 @@ bool StreamWriter::interval_elapsed() {
 
 void StreamWriter::emit(const StreamSample& sample) {
   if (fd_ < 0) return;
-  MetricsSnapshot snap;
-  if (sample.with_metrics || sample.with_hists) snap = metrics().snapshot();
+  const MetricsSnapshot snap = metrics().snapshot();
   emit_impl(sample, snap, snap);
 }
 
@@ -146,223 +127,86 @@ void StreamWriter::emit(const StreamSample& sample,
 void StreamWriter::emit_impl(const StreamSample& sample,
                              const MetricsSnapshot& metric_src,
                              const MetricsSnapshot& hist_src) {
-  // Gather the absolute view outside the lock (snapshot + span drain are
-  // the expensive parts); only the delta computation and the write are
-  // serialized.
+  // The body is built outside the lock (snapshot, span drain and
+  // formatting are the expensive parts); only the seq/t_ms header and the
+  // write are serialized.
+  const auto number = [](std::string& out, double v) {
+    out += json_number(v);
+  };
+  std::string body;
+  if (sample.step >= 0) {
+    body += ",\"step\":";
+    number(body, sample.step);
+  }
+  body += ",\"rank\":";
+  number(body, sample.rank);
+  append_section(body, "val", sample.values, number);
+
   std::map<std::string, double> counters;
   std::map<std::string, double> gauges;
-  if (sample.with_metrics) {
-    for (const auto& s : metric_src.samples) {
-      if (s.kind == 'h') continue;
-      double v = 0.0;
-      bool have = false;
-      if (sample.rank < 0) {
-        v = s.value;
-        have = true;
-      } else {
-        for (const auto& [rank, value] : s.per_rank)
-          if (rank == sample.rank) {
-            v = value;
-            have = true;
-            break;
-          }
-      }
-      if (!have) continue;
-      if (s.kind == 'c') {
-        if (v != 0.0) counters[s.name] = v;
-      } else {
-        gauges[s.name] = v;
-      }
+  for (const auto& s : metric_src.samples) {
+    if (s.kind == 'h') continue;
+    double v = s.value;
+    if (sample.rank >= 0) {
+      const auto it = std::find_if(
+          s.per_rank.begin(), s.per_rank.end(),
+          [&](const auto& slot) { return slot.first == sample.rank; });
+      if (it == s.per_rank.end()) continue;
+      v = it->second;
     }
+    if (s.kind == 'g')
+      gauges[s.name] = v;
+    else if (v != 0.0)
+      counters[s.name] = v;
   }
+  append_section(body, "ctr", counters, number);
+  append_section(body, "gauge", gauges, number);
 
-  std::map<std::string, HistState> hists;
-  std::map<std::string, std::array<double, 3>> hist_quantiles;
   if (sample.with_hists) {
-    for (const auto& s : hist_src.samples) {
-      if (s.kind != 'h' || s.value == 0.0) continue;
-      HistState h;
-      h.count = s.value;
-      h.sum = s.sum;
-      for (const auto& [floor_v, n] : s.bins)
-        h.bins[floor_v] = static_cast<double>(n);
-      hist_quantiles[s.name] = {histogram_quantile(s.bins, 0.50),
-                                histogram_quantile(s.bins, 0.90),
-                                histogram_quantile(s.bins, 0.99)};
-      hists[s.name] = std::move(h);
-    }
+    std::map<std::string, const MetricSample*> hists;
+    for (const auto& s : hist_src.samples)
+      if (s.kind == 'h' && s.value != 0.0) hists[s.name] = &s;
+    append_section(body, "hist", hists,
+                   [](std::string& out, const MetricSample* h) {
+                     out += "{\"n\":" + json_number(h->value) +
+                            ",\"sum\":" + json_number(h->sum) +
+                            ",\"p50\":" +
+                            json_number(histogram_quantile(h->bins, 0.50)) +
+                            ",\"p90\":" +
+                            json_number(histogram_quantile(h->bins, 0.90)) +
+                            ",\"p99\":" +
+                            json_number(histogram_quantile(h->bins, 0.99)) +
+                            ",\"bins\":{";
+                     bool first = true;
+                     for (const auto& [floor_v, n] : h->bins) {
+                       if (!first) out += ',';
+                       first = false;
+                       append_key(out, std::to_string(floor_v));
+                       out += json_number(static_cast<double>(n));
+                     }
+                     out += "}}";
+                   });
   }
 
-  std::map<std::string, std::pair<double, double>> spans;
   if (sample.with_spans) {
-    // Non-destructive drain so the exit-time trace/summary exporters and
-    // the flight recorder still see every span. The ring can wrap between
-    // emissions, so a delta may go negative; deltas are signed and the
-    // reader just accumulates.
-    const auto aggs = aggregate_spans(Tracer::instance().drain(false));
-    for (const auto& a : aggs)
+    // Non-destructive drain, so the exit-time trace/summary exporters and
+    // the flight recorder still see every span.
+    std::map<std::string, std::pair<double, double>> spans;
+    for (const auto& a : aggregate_spans(Tracer::instance().drain(false)))
       spans[a.name] = {static_cast<double>(a.count), a.total_s};
+    append_section(body, "span", spans,
+                   [](std::string& out, const std::pair<double, double>& cs) {
+                     out += "{\"n\":" + json_number(cs.first) +
+                            ",\"s\":" + json_number(cs.second) + "}";
+                   });
   }
 
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  auto& st = impl_->ranks[sample.rank];
-  const bool full =
-      st.emitted % static_cast<std::uint64_t>(config_.keyframe_every) == 0;
-  ++st.emitted;
-
-  std::string line = "{\"k\":\"snap\",\"v\":1,\"seq\":";
-  fmt_num(line, static_cast<double>(seq_.fetch_add(1)));
+  std::lock_guard<std::mutex> lock(write_mutex_);
+  std::string line = "{\"k\":\"snap\",\"v\":2,\"seq\":";
+  line += json_number(static_cast<double>(seq_.fetch_add(1)));
   line += ",\"t_ms\":";
-  fmt_num(line, now_ms());
-  if (sample.step >= 0) {
-    line += ",\"step\":";
-    fmt_num(line, sample.step);
-  }
-  line += ",\"rank\":";
-  fmt_num(line, sample.rank);
-  if (full) line += ",\"full\":1";
-
-  if (!sample.values.empty()) {
-    line += ",\"val\":{";
-    bool first = true;
-    for (const auto& [name, v] : sample.values) {
-      if (!first) line += ',';
-      first = false;
-      json_string(line, name);
-      line += ':';
-      fmt_num(line, v);
-    }
-    line += '}';
-  }
-
-  // Counters: emit the delta against the previous record (everything, as
-  // absolutes, on a keyframe) and remember the new absolutes.
-  {
-    std::string section;
-    bool first = true;
-    for (const auto& [name, v] : counters) {
-      const auto it = st.counters.find(name);
-      const double prev = it == st.counters.end() ? 0.0 : it->second;
-      const double delta = v - prev;
-      if (!full && delta == 0.0) continue;
-      if (!first) section += ',';
-      first = false;
-      json_string(section, name);
-      section += ':';
-      fmt_num(section, full ? v : delta);
-    }
-    if (!section.empty()) {
-      line += ",\"ctr\":{";
-      line += section;
-      line += '}';
-    }
-    if (full) st.counters.clear();
-    for (const auto& [name, v] : counters) st.counters[name] = v;
-  }
-
-  // Gauges are always absolute; skip unchanged ones off-keyframe.
-  {
-    std::string section;
-    bool first = true;
-    for (const auto& [name, v] : gauges) {
-      const auto it = st.gauges.find(name);
-      if (!full && it != st.gauges.end() && it->second == v) continue;
-      if (!first) section += ',';
-      first = false;
-      json_string(section, name);
-      section += ':';
-      fmt_num(section, v);
-    }
-    if (!section.empty()) {
-      line += ",\"gauge\":{";
-      line += section;
-      line += '}';
-    }
-    if (full) st.gauges.clear();
-    for (const auto& [name, v] : gauges) st.gauges[name] = v;
-  }
-
-  // Histograms: n/sum/bins are deltas (absolutes on a keyframe), the
-  // quantiles are always absolute — a reader can gate on p99 from any
-  // single record without replaying the stream.
-  if (!hists.empty()) {
-    std::string section;
-    bool first = true;
-    for (const auto& [name, h] : hists) {
-      const auto it = st.hists.find(name);
-      const HistState* prev = it == st.hists.end() ? nullptr : &it->second;
-      const double dcount = h.count - (prev != nullptr ? prev->count : 0.0);
-      if (!full && dcount == 0.0) continue;
-      if (!first) section += ',';
-      first = false;
-      json_string(section, name);
-      section += ":{\"n\":";
-      fmt_num(section, full ? h.count : dcount);
-      section += ",\"sum\":";
-      fmt_num(section, full ? h.sum
-                            : h.sum - (prev != nullptr ? prev->sum : 0.0));
-      const auto& q = hist_quantiles[name];
-      section += ",\"p50\":";
-      fmt_num(section, q[0]);
-      section += ",\"p90\":";
-      fmt_num(section, q[1]);
-      section += ",\"p99\":";
-      fmt_num(section, q[2]);
-      section += ",\"bins\":{";
-      bool bfirst = true;
-      for (const auto& [floor_v, n] : h.bins) {
-        const double dn =
-            full ? n
-                 : n - (prev != nullptr && prev->bins.count(floor_v) != 0
-                            ? prev->bins.at(floor_v)
-                            : 0.0);
-        if (!full && dn == 0.0) continue;
-        if (!bfirst) section += ',';
-        bfirst = false;
-        section += '"';
-        section += std::to_string(floor_v);
-        section += "\":";
-        fmt_num(section, dn);
-      }
-      section += "}}";
-    }
-    if (!section.empty()) {
-      line += ",\"hist\":{";
-      line += section;
-      line += '}';
-    }
-    if (full) st.hists.clear();
-    for (const auto& [name, h] : hists) st.hists[name] = h;
-  }
-
-  if (!spans.empty()) {
-    std::string section;
-    bool first = true;
-    for (const auto& [name, cs] : spans) {
-      const auto it = st.spans.find(name);
-      const double dcount =
-          cs.first - (it != st.spans.end() ? it->second.first : 0.0);
-      const double dtotal =
-          cs.second - (it != st.spans.end() ? it->second.second : 0.0);
-      if (!full && dcount == 0.0 && dtotal == 0.0) continue;
-      if (!first) section += ',';
-      first = false;
-      json_string(section, name);
-      section += ":{\"n\":";
-      fmt_num(section, full ? cs.first : dcount);
-      section += ",\"s\":";
-      fmt_num(section, full ? cs.second : dtotal);
-      section += '}';
-    }
-    if (!section.empty()) {
-      line += ",\"span\":{";
-      line += section;
-      line += '}';
-    }
-    if (full) st.spans.clear();
-    for (const auto& [name, cs] : spans) st.spans[name] = cs;
-  }
-
+  line += json_number(now_ms());
+  line += body;
   line += "}\n";
   append_record_line(line);
 }
@@ -386,7 +230,7 @@ void StreamWriter::emit_final(const char* reason) noexcept {
     } while (v != 0);
     while (i < 24 && len < sizeof buf) buf[len++] = tmp[i++];
   };
-  put_str("{\"k\":\"final\",\"v\":1,\"seq\":");
+  put_str("{\"k\":\"final\",\"v\":2,\"seq\":");
   put_u64(seq_.fetch_add(1));
   put_str(",\"t_ms\":");
   // Millisecond value with microsecond fraction, via integers only (the
@@ -485,8 +329,8 @@ namespace {
 
 /// Consume the value at the reader's position, flattening nested numeric
 /// fields into `out` with dotted names. Strings, booleans, nulls, and
-/// arrays are skipped (the step-record "hist.counts" array is for the
-/// compat consumers of the old per-step file, not for tess_top).
+/// arrays are skipped (the step record's "hist.counts" array stays on the
+/// wire for JSON readers; tess_top does not need it).
 void flatten_value(detail::JsonReader& r, const std::string& prefix,
                    std::map<std::string, double>& out) {
   if (r.peek_object()) {
@@ -505,6 +349,7 @@ void flatten_value(detail::JsonReader& r, const std::string& prefix,
 bool parse_stream_record(const std::string& line, StreamRecord& out) {
   out = StreamRecord{};
   bool have_kind = false;
+  double version = 0.0;
   try {
     detail::JsonReader r(line);
     r.object([&](const std::string& key) {
@@ -515,7 +360,7 @@ bool parse_stream_record(const std::string& line, StreamRecord& out) {
         out.kind = r.string();
         have_kind = true;
       } else if (key == "v") {
-        (void)r.number();
+        version = r.number();
       } else if (key == "seq") {
         out.seq = static_cast<std::uint64_t>(r.number());
       } else if (key == "t_ms") {
@@ -524,8 +369,6 @@ bool parse_stream_record(const std::string& line, StreamRecord& out) {
         out.step = static_cast<int>(r.number());
       } else if (key == "rank") {
         out.rank = static_cast<int>(r.number());
-      } else if (key == "full") {
-        out.full = r.number() != 0.0;
       } else if (out.kind == "snap" && key == "val") {
         r.object([&](const std::string& name) {
           out.values[name] = r.number();
@@ -586,35 +429,9 @@ bool parse_stream_record(const std::string& line, StreamRecord& out) {
   } catch (const std::exception&) {
     return false;
   }
-  return have_kind;
-}
-
-void StreamDecoder::accumulate(StreamRecord& rec) {
-  if (rec.kind != "snap") return;
-  auto& st = state_[rec.rank];
-  if (rec.full) st = RankState{};
-  for (const auto& [name, v] : rec.counters) st.counters[name] += v;
-  for (const auto& [name, v] : rec.gauges) st.gauges[name] = v;
-  for (const auto& [name, cs] : rec.spans) {
-    auto& e = st.spans[name];
-    e.first += cs.first;
-    e.second += cs.second;
-  }
-  for (const auto& [name, h] : rec.hists) {
-    auto& e = st.hists[name];
-    e.count += h.count;
-    e.sum += h.sum;
-    e.p50 = h.p50;
-    e.p90 = h.p90;
-    e.p99 = h.p99;
-    for (const auto& [floor_v, n] : h.bins) e.bins[floor_v] += n;
-  }
-  // Hand back the full cumulative view — including keys this record
-  // omitted as unchanged — so consumers never have to replay deltas.
-  rec.counters = st.counters;
-  rec.gauges = st.gauges;
-  rec.spans = st.spans;
-  rec.hists = st.hists;
+  // Schema 1 carried deltas; reading one as absolute values would be
+  // silently wrong, so any version but 2 is malformed.
+  return have_kind && version == 2.0;
 }
 
 std::vector<StreamRecord> StreamDecoder::feed(const std::string& bytes) {
@@ -632,7 +449,6 @@ std::vector<StreamRecord> StreamDecoder::feed(const std::string& bytes) {
       ++dropped_;
       continue;
     }
-    accumulate(rec);
     out.push_back(std::move(rec));
   }
   partial_.erase(0, pos);

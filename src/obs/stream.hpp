@@ -12,15 +12,14 @@
 // without losing anything earlier. No fsync: the page cache survives
 // process death, and machine-crash durability is not this layer's job.
 //
-// Delta encoding: counters, histogram bins, and span aggregates are
-// emitted as deltas against the writer's previous snapshot for the same
-// rank, so steady-state records carry only what changed; every
-// `keyframe_every`-th record per rank is a full ("full":1) keyframe that
-// re-absolutizes the state, bounding how much a reader that joins late (or
-// skips a malformed line) has to trust accumulated deltas. Gauges and
-// histogram quantiles are always absolute.
+// Absolute records: a snap record carries the values at its emission time
+// — non-zero counters, gauges, histogram n/sum/bins with p50/p90/p99, and
+// span aggregates — so every line stands alone. A reader that joins late,
+// or skips a malformed line, loses that line and nothing else. A counter
+// back at 0, or a span the tracer no longer holds, is simply absent.
 //
-// Record kinds (one JSON object per line, schema version "v":1):
+// Record kinds (one JSON object per line, schema version "v":2; the reader
+// treats a line of any other version as malformed):
 //   {"k":"meta", ...}   stream header: pid, interval_ms — written at open
 //   {"k":"snap", ...}   metric/span snapshot for one rank (-1 = global)
 //   {"k":"step", ...}   per-step reduced StepStats (analysis/insitu_stats)
@@ -32,7 +31,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,19 +42,18 @@
 namespace tess::obs {
 
 struct StreamConfig {
-  std::string path;               ///< JSONL output file (appended to)
+  std::string path;                  ///< JSONL output file (appended to)
   std::uint64_t interval_ms = 1000;  ///< gate for interval_elapsed()
-  int keyframe_every = 32;        ///< full records every N emissions per rank
 };
 
 /// One emission request. `values` is a free-form scalar payload (dotted
 /// names, e.g. "stage.write_s") for quantities the metrics registry does
 /// not carry per rank, such as a pipeline stage's per-step seconds.
+/// Counters and gauges (the rank's slice, or totals) always ride along.
 struct StreamSample {
   int step = -1;  ///< simulation step (-1 = not step-scoped)
   int rank = -1;  ///< whose registry slice to emit (-1 = global totals)
   std::map<std::string, double> values;
-  bool with_metrics = true;  ///< counters + gauges (slice or totals)
   bool with_hists = false;   ///< histograms + p50/p90/p99 (global values)
   bool with_spans = false;   ///< span aggregates (drains tracer w/o reset)
 };
@@ -98,7 +96,6 @@ class StreamWriter {
   [[nodiscard]] static double now_ms();
 
  private:
-  struct Impl;
   void emit_impl(const StreamSample& sample,
                  const MetricsSnapshot& metric_src,
                  const MetricsSnapshot& hist_src);
@@ -108,7 +105,8 @@ class StreamWriter {
   int fd_ = -1;
   std::atomic<std::uint64_t> seq_{0};
   std::atomic<std::uint64_t> last_interval_ns_{0};
-  std::unique_ptr<Impl> impl_;  ///< delta state, guarded by its mutex
+  /// Serializes record writes, so seq and t_ms rise in file order.
+  std::mutex write_mutex_;
 };
 
 /// Process-global streamer: non-null once configured (configure_stream or
@@ -133,42 +131,40 @@ bool configure_stream_from_env();
 
 struct StreamHist {
   double count = 0.0, sum = 0.0;
-  double p50 = 0.0, p90 = 0.0, p99 = 0.0;  ///< absolute, as emitted
-  std::map<std::uint64_t, double> bins;    ///< decoded cumulative
+  double p50 = 0.0, p90 = 0.0, p99 = 0.0;
+  std::map<std::uint64_t, double> bins;  ///< bucket floor -> count
 };
 
-/// One decoded record. For "snap" records the metric maps hold CUMULATIVE
-/// values (the reader re-accumulates the writer's deltas per rank); for
-/// "step"/"meta"/"final" records the numeric payload is flattened into
-/// `values` with dotted names ("volume.mean", "cells", "reason" excluded).
+/// One decoded record. "snap" records fill the metric maps with the values
+/// at emission; for "step"/"meta"/"final" records the numeric payload is
+/// flattened into `values` with dotted names ("volume.mean", "cells";
+/// "reason" excluded).
 struct StreamRecord {
   std::string kind;
   std::uint64_t seq = 0;
   double t_ms = 0.0;
   int step = -1;
   int rank = -1;
-  bool full = false;
   std::map<std::string, double> values;
   std::map<std::string, double> counters;
   std::map<std::string, double> gauges;
   std::map<std::string, StreamHist> hists;
-  /// Span aggregates: name -> (count, total_s), decoded cumulative.
+  /// Span aggregates: name -> (count, total_s).
   std::map<std::string, std::pair<double, double>> spans;
 };
 
-/// Parse one line (without its newline) into a RAW record — snap metric
-/// maps still hold deltas. Returns false on malformed input (torn tail).
+/// Parse one line (without its newline). Returns false on malformed input
+/// (a torn tail, or a schema version other than 2).
 bool parse_stream_record(const std::string& line, StreamRecord& out);
 
 struct StreamFile {
-  std::vector<StreamRecord> records;  ///< decoded, deltas accumulated
+  std::vector<StreamRecord> records;
   std::size_t dropped = 0;  ///< torn/malformed lines dropped (tail or not)
 };
 
 /// Incremental decoder: feed it raw bytes as they appear (tailing) and it
 /// yields complete decoded records, holding back a trailing partial line
-/// until its newline arrives. Accumulates per-rank delta state across
-/// calls; a "full" keyframe resets that rank's state.
+/// until its newline arrives.
 class StreamDecoder {
  public:
   /// Decode every complete record in `bytes` (appended to any held-back
@@ -182,16 +178,8 @@ class StreamDecoder {
   [[nodiscard]] std::size_t pending_bytes() const { return partial_.size(); }
 
  private:
-  void accumulate(StreamRecord& rec);
   std::string partial_;
   std::size_t dropped_ = 0;
-  struct RankState {
-    std::map<std::string, double> counters;
-    std::map<std::string, StreamHist> hists;
-    std::map<std::string, std::pair<double, double>> spans;
-    std::map<std::string, double> gauges;
-  };
-  std::map<int, RankState> state_;
 };
 
 /// Read and decode a whole stream file. A trailing line without a newline,

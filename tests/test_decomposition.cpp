@@ -67,7 +67,7 @@ TEST(Decomposition, IndexRoundTrip) {
   Decomposition d({0, 0, 0}, {1, 1, 1}, {3, 4, 5}, true);
   for (int b = 0; b < d.num_blocks(); ++b)
     EXPECT_EQ(d.block_index(d.block_coords(b)), b);
-  EXPECT_THROW(d.block_coords(d.num_blocks()), std::out_of_range);
+  EXPECT_THROW((void)d.block_coords(d.num_blocks()), std::out_of_range);
 }
 
 TEST(Decomposition, NonPeriodicCornerHas7Neighbors) {

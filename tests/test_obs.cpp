@@ -484,7 +484,7 @@ TEST(ObsTrace, FixedGhostRunsNoVerdict) {
 // Exporters
 // ---------------------------------------------------------------------------
 
-TEST(ObsExport, SummaryTsvRoundTrips) {
+TEST(ObsExport, SummaryJsonRoundTrips) {
   Tracer::instance().set_enabled(true);
   Tracer::instance().clear();
   tess::obs::metrics().reset();
@@ -501,8 +501,8 @@ TEST(ObsExport, SummaryTsvRoundTrips) {
 
   const auto dump = Tracer::instance().drain();
   const auto snap = tess::obs::metrics().snapshot();
-  const auto rows = tess::obs::parse_summary_tsv(
-      tess::obs::summary_tsv(dump, snap));
+  const auto rows = tess::obs::parse_summary_json(
+      tess::obs::summary_json(dump, snap));
 
   auto row = [&rows](const std::string& kind, const std::string& name)
       -> const tess::obs::SummaryRow* {
@@ -535,7 +535,7 @@ TEST(ObsExport, SummaryTsvRoundTrips) {
   EXPECT_DOUBLE_EQ(hist->count, 2.0);
   EXPECT_DOUBLE_EQ(hist->total, 128.0);
 
-  EXPECT_THROW(tess::obs::parse_summary_tsv("kind\tname\nbroken-row\n"),
+  EXPECT_THROW(tess::obs::parse_summary_json("{\"spans\": {\"broken\""),
                std::runtime_error);
   Tracer::instance().set_enabled(false);
 }

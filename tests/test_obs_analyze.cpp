@@ -291,15 +291,6 @@ TEST(ObsCompare, ParseSummaryJsonRoundTrip) {
   EXPECT_NEAR(rows[1].count, 2.0, 1e-12);
   EXPECT_NEAR(rows[1].total, 3.0, 1e-9);
   EXPECT_NEAR(rows[1].max, 2.0, 1e-9);
-
-  // The TSV parse of the same data must agree on span totals.
-  const auto tsv_rows =
-      obs::parse_summary_tsv(obs::summary_tsv(dump, empty));
-  ASSERT_EQ(tsv_rows.size(), rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(tsv_rows[i].name, rows[i].name);
-    EXPECT_NEAR(tsv_rows[i].total, rows[i].total, 1e-9);
-  }
 }
 
 TEST(ObsCompare, ParseSummaryJsonRejectsMalformedInput) {

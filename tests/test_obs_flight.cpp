@@ -289,7 +289,6 @@ TEST(ObsFlightDeathTest, CrashFlushesFinalStreamRecord) {
         obs::StreamSample s;
         s.step = 1;
         s.rank = 0;
-        s.with_metrics = false;
         s.values["stage.step_s"] = 0.25;
         obs::stream()->emit(s);
         obs::FlightConfig cfg;

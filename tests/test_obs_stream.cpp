@@ -1,9 +1,8 @@
 // Tests for the live telemetry streamer (obs/stream.hpp): crash-consistent
 // append/decode round trips, torn-tail tolerance at every byte offset,
-// delta encoding with keyframes, histogram quantile accuracy, EWMA drift
-// detection, env-var arming, the StepStats stream record + compat shim,
-// and a 2-rank pipelined integration run producing one record per step per
-// rank.
+// absolute records that each decode alone, histogram quantile accuracy,
+// EWMA drift detection, env-var arming, the StepStats stream record, and a
+// 2-rank pipelined integration run producing one record per step per rank.
 //
 // Tests that install the process-global streamer rely on each TEST running
 // in its own process (gtest_discover_tests registers them individually);
@@ -11,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -61,12 +61,11 @@ TEST(ObsStream, WriterEmitsMetaThenDecodableSnapRecords) {
   const std::string path = temp_path("tess_stream_basic");
   std::remove(path.c_str());
   {
-    obs::StreamWriter w({path, 1000, 32});
+    obs::StreamWriter w({path, 1000});
     ASSERT_TRUE(w.ok());
     obs::StreamSample s;
     s.step = 1;
     s.rank = 0;
-    s.with_metrics = false;
     s.values = {{"stage.step_s", 0.25}, {"stage.write_s", 0.05}};
     w.emit(s);
     s.step = 2;
@@ -80,7 +79,6 @@ TEST(ObsStream, WriterEmitsMetaThenDecodableSnapRecords) {
   EXPECT_EQ(file.records[1].kind, "snap");
   EXPECT_EQ(file.records[1].step, 1);
   EXPECT_EQ(file.records[1].rank, 0);
-  EXPECT_TRUE(file.records[1].full);
   EXPECT_DOUBLE_EQ(file.records[1].values.at("stage.step_s"), 0.25);
   EXPECT_EQ(file.records[2].step, 2);
   EXPECT_DOUBLE_EQ(file.records[2].values.at("stage.write_s"), 0.06);
@@ -93,10 +91,9 @@ TEST(ObsStream, TornTailToleratedAtEveryByteOffset) {
   const std::string path = temp_path("tess_stream_torn");
   std::remove(path.c_str());
   {
-    obs::StreamWriter w({path, 1000, 32});
+    obs::StreamWriter w({path, 1000});
     obs::StreamSample s;
     s.rank = 0;
-    s.with_metrics = false;
     for (int i = 1; i <= 3; ++i) {
       s.step = i;
       s.values = {{"stage.step_s", 0.1 * i}};
@@ -123,59 +120,135 @@ TEST(ObsStream, TornTailToleratedAtEveryByteOffset) {
   std::remove(cut_path.c_str());
 }
 
-TEST(ObsStream, DeltaEncodingAccumulatesAndKeyframesReabsolutize) {
-  const std::string path = temp_path("tess_stream_delta");
+namespace {
+
+/// Stream numbers travel as "%.9g": a decoded value matches to 9 digits.
+void expect_9_digits(double got, double want, const std::string& what) {
+  EXPECT_NEAR(got, want, 1e-8 * std::max(1.0, std::abs(want))) << what;
+}
+
+/// A global (rank -1) snap record holds exactly the registry's values:
+/// every gauge, every non-zero counter, every non-empty histogram.
+void expect_matches_registry(const obs::StreamRecord& rec,
+                             const obs::MetricsSnapshot& snap) {
+  std::size_t counters = 0, gauges = 0, hists = 0;
+  for (const auto& s : snap.samples) {
+    if (s.kind == 'g') {
+      ++gauges;
+      ASSERT_EQ(rec.gauges.count(s.name), 1u) << s.name;
+      expect_9_digits(rec.gauges.at(s.name), s.value, s.name);
+    } else if (s.value == 0.0) {
+      continue;
+    } else if (s.kind == 'c') {
+      ++counters;
+      ASSERT_EQ(rec.counters.count(s.name), 1u) << s.name;
+      expect_9_digits(rec.counters.at(s.name), s.value, s.name);
+    } else {
+      ++hists;
+      ASSERT_EQ(rec.hists.count(s.name), 1u) << s.name;
+      const auto& h = rec.hists.at(s.name);
+      expect_9_digits(h.count, s.value, s.name + " n");
+      expect_9_digits(h.sum, s.sum, s.name + " sum");
+      expect_9_digits(h.p50, obs::histogram_quantile(s.bins, 0.50), "p50");
+      expect_9_digits(h.p90, obs::histogram_quantile(s.bins, 0.90), "p90");
+      expect_9_digits(h.p99, obs::histogram_quantile(s.bins, 0.99), "p99");
+      ASSERT_EQ(h.bins.size(), s.bins.size()) << s.name;
+      for (const auto& [floor_v, n] : s.bins) {
+        ASSERT_EQ(h.bins.count(floor_v), 1u) << s.name << " bin " << floor_v;
+        expect_9_digits(h.bins.at(floor_v), static_cast<double>(n), s.name);
+      }
+    }
+  }
+  EXPECT_EQ(rec.counters.size(), counters);
+  EXPECT_EQ(rec.gauges.size(), gauges);
+  EXPECT_EQ(rec.hists.size(), hists);
+}
+
+void expect_same_metrics(const obs::StreamRecord& a,
+                         const obs::StreamRecord& b) {
+  EXPECT_EQ(a.counters, b.counters);
+  EXPECT_EQ(a.gauges, b.gauges);
+  ASSERT_EQ(a.hists.size(), b.hists.size());
+  for (const auto& [name, h] : a.hists) {
+    ASSERT_EQ(b.hists.count(name), 1u) << name;
+    const auto& o = b.hists.at(name);
+    EXPECT_EQ(h.count, o.count) << name;
+    EXPECT_EQ(h.sum, o.sum) << name;
+    EXPECT_EQ(h.p50, o.p50) << name;
+    EXPECT_EQ(h.p90, o.p90) << name;
+    EXPECT_EQ(h.p99, o.p99) << name;
+    EXPECT_EQ(h.bins, o.bins) << name;
+  }
+}
+
+}  // namespace
+
+TEST(ObsStream, EveryRecordIsAbsoluteAndStandalone) {
+  const std::string path = temp_path("tess_stream_absolute");
   std::remove(path.c_str());
   auto& ctr = obs::metrics().counter("stream.test.ctr");
   auto& gauge = obs::metrics().gauge("stream.test.gauge");
   auto& hist = obs::metrics().histogram("stream.test.hist");
   ctr.reset();
   hist.reset();
+  std::vector<obs::MetricsSnapshot> at_emission;
   {
-    obs::StreamWriter w({path, 1000, /*keyframe_every=*/2});
+    obs::StreamWriter w({path, 1000});
     obs::StreamSample s;  // rank -1: global totals
     s.with_hists = true;
+    const auto emit = [&] {
+      at_emission.push_back(obs::metrics().snapshot());
+      w.emit(s);
+    };
     ctr.add(5);
     gauge.set(2.5);
     for (int i = 1; i <= 100; ++i) hist.add(static_cast<std::uint64_t>(i));
-    w.emit(s);
+    emit();
     ctr.add(7);
     gauge.set(4.5);
     for (int i = 1; i <= 100; ++i) hist.add(static_cast<std::uint64_t>(i));
-    w.emit(s);
-    w.emit(s);  // unchanged; also the keyframe (emission index 2)
+    emit();
+    emit();  // nothing changed: the record still carries every value
+    ctr.reset();
+    emit();  // a counter back at 0 leaves the record
   }
+
   const auto file = obs::read_stream_file(path);
-  ASSERT_EQ(file.records.size(), 4u);
-  const auto& r1 = file.records[1];
-  const auto& r2 = file.records[2];
-  const auto& r3 = file.records[3];
-  EXPECT_TRUE(r1.full);
-  EXPECT_FALSE(r2.full);
-  EXPECT_TRUE(r3.full);
-  // Decoded records carry CUMULATIVE values regardless of the wire deltas.
-  EXPECT_DOUBLE_EQ(r1.counters.at("stream.test.ctr"), 5.0);
-  EXPECT_DOUBLE_EQ(r2.counters.at("stream.test.ctr"), 12.0);
-  EXPECT_DOUBLE_EQ(r3.counters.at("stream.test.ctr"), 12.0);
-  EXPECT_DOUBLE_EQ(r1.gauges.at("stream.test.gauge"), 2.5);
-  EXPECT_DOUBLE_EQ(r2.gauges.at("stream.test.gauge"), 4.5);
-  EXPECT_DOUBLE_EQ(r3.gauges.at("stream.test.gauge"), 4.5);
-  EXPECT_DOUBLE_EQ(r1.hists.at("stream.test.hist").count, 100.0);
-  EXPECT_DOUBLE_EQ(r2.hists.at("stream.test.hist").count, 200.0);
-  EXPECT_DOUBLE_EQ(r3.hists.at("stream.test.hist").count, 200.0);
-  // Quantiles ride along absolute on every hist-bearing record.
-  EXPECT_GT(r3.hists.at("stream.test.hist").p50, 0.0);
-  EXPECT_GE(r3.hists.at("stream.test.hist").p99,
-            r3.hists.at("stream.test.hist").p50);
-  // Off-keyframe records omit unchanged sections on the wire; the raw
-  // parse of the last-but-one line must NOT repeat the counter.
+  EXPECT_EQ(file.dropped, 0u);
+  ASSERT_EQ(file.records.size(), 5u);  // meta + 4 snaps
   std::istringstream lines(read_file(path));
-  std::string line, third_snap;
   std::vector<std::string> all;
-  while (std::getline(lines, line)) all.push_back(line);
-  obs::StreamRecord raw;
-  ASSERT_TRUE(obs::parse_stream_record(all[2], raw));  // the delta record
-  EXPECT_DOUBLE_EQ(raw.counters.at("stream.test.ctr"), 7.0);  // wire delta
+  for (std::string line; std::getline(lines, line);) all.push_back(line);
+  ASSERT_EQ(all.size(), file.records.size());
+  for (std::size_t i = 1; i < all.size(); ++i) {
+    SCOPED_TRACE("snap record " + std::to_string(i));
+    obs::StreamRecord alone;
+    ASSERT_TRUE(obs::parse_stream_record(all[i], alone));
+    ASSERT_EQ(alone.kind, "snap");
+    expect_same_metrics(alone, file.records[i]);
+    expect_matches_registry(alone, at_emission[i - 1]);
+    expect_matches_registry(file.records[i], at_emission[i - 1]);
+  }
+  EXPECT_DOUBLE_EQ(file.records[2].counters.at("stream.test.ctr"), 12.0);
+  EXPECT_DOUBLE_EQ(file.records[3].counters.at("stream.test.ctr"), 12.0);
+  EXPECT_DOUBLE_EQ(file.records[3].gauges.at("stream.test.gauge"), 4.5);
+  EXPECT_DOUBLE_EQ(file.records[3].hists.at("stream.test.hist").count, 200.0);
+  EXPECT_EQ(file.records[4].counters.count("stream.test.ctr"), 0u);
+
+  // A schema-1 line (delta encoded) must never be read as absolute values.
+  std::string v1 = all[2];
+  const std::size_t at = v1.find("\"v\":2");
+  ASSERT_NE(at, std::string::npos);
+  v1.replace(at, 5, "\"v\":1");
+  obs::StreamRecord rejected;
+  EXPECT_FALSE(obs::parse_stream_record(v1, rejected));
+  const std::string mixed_path = temp_path("tess_stream_absolute_v1");
+  write_file(mixed_path, v1 + "\n" + all[2] + "\n");
+  const auto mixed = obs::read_stream_file(mixed_path);
+  EXPECT_EQ(mixed.dropped, 1u);
+  ASSERT_EQ(mixed.records.size(), 1u);
+  expect_same_metrics(mixed.records[0], file.records[2]);
+  std::remove(mixed_path.c_str());
   ctr.reset();
   hist.reset();
 }
@@ -266,10 +339,9 @@ TEST(ObsStream, FinalRecordParsesAfterNormalRecords) {
   const std::string path = temp_path("tess_stream_final");
   std::remove(path.c_str());
   {
-    obs::StreamWriter w({path, 1000, 32});
+    obs::StreamWriter w({path, 1000});
     obs::StreamSample s;
     s.rank = 0;
-    s.with_metrics = false;
     s.values = {{"stage.step_s", 0.1}};
     w.emit(s);
     w.emit_final("watchdog stall: rank 1 \"quoted\"\n");
@@ -319,13 +391,11 @@ TEST(ObsStream, EnvArmingInstallsAndDisablesGlobalStreamer) {
   ::unsetenv("TESS_OBS_EXPORT");
 }
 
-TEST(ObsStream, StepStatsRecordRidesStreamWithCompatShim) {
+TEST(ObsStream, StepStatsRecordRidesStream) {
   const std::string stream_path = temp_path("tess_stream_stats");
-  const std::string shim_path = testing::TempDir() + "tess_stats_shim.jsonl";
   std::remove(stream_path.c_str());
-  std::remove(shim_path.c_str());
-  obs::configure_stream({stream_path, 1000, 32});
-  auto hook = tess::analysis::make_stats_streamer(shim_path, 0.0, 8.0, 16);
+  obs::configure_stream({stream_path, 1000});
+  auto hook = tess::analysis::make_stats_streamer(0.0, 8.0, 16);
   Runtime::run(2, [&](Comm& c) {
     std::vector<double> volumes =
         c.rank() == 0 ? std::vector<double>{1.0, 2.0, 3.0}
@@ -335,17 +405,7 @@ TEST(ObsStream, StepStatsRecordRidesStreamWithCompatShim) {
   });
   obs::shutdown_stream();
 
-  // Compat shim: the old per-step file still gets the legacy payload.
-  std::istringstream shim(read_file(shim_path));
-  std::string line;
-  std::vector<std::string> shim_lines;
-  while (std::getline(shim, line)) shim_lines.push_back(line);
-  ASSERT_EQ(shim_lines.size(), 2u);
-  EXPECT_NE(shim_lines[0].find("\"step\":1"), std::string::npos);
-  EXPECT_NE(shim_lines[0].find("\"cells\":5"), std::string::npos);
-  EXPECT_EQ(shim_lines[0].find("\"k\""), std::string::npos);
-
-  // Stream: the same payload arrives as {"k":"step"} records, flattened.
+  // The per-step payload arrives as {"k":"step"} records, flattened.
   const auto file = obs::read_stream_file(stream_path);
   std::vector<const obs::StreamRecord*> steps;
   for (const auto& r : file.records)
@@ -357,13 +417,12 @@ TEST(ObsStream, StepStatsRecordRidesStreamWithCompatShim) {
   EXPECT_DOUBLE_EQ(steps[0]->values.at("volume.mean"), 3.0);
   EXPECT_DOUBLE_EQ(steps[0]->values.at("hist.lo"), 0.0);
   EXPECT_GE(steps[1]->t_ms, steps[0]->t_ms);
-  std::remove(shim_path.c_str());
 }
 
 TEST(ObsStream, PipelinedTwoRanksEmitOneRecordPerStepPerRank) {
   const std::string path = temp_path("tess_stream_pipeline");
   std::remove(path.c_str());
-  obs::configure_stream({path, /*interval_ms=*/0, 32});
+  obs::configure_stream({path, /*interval_ms=*/0});
 
   constexpr double kDomain = 10.0;
   constexpr int kSteps = 3;

@@ -1,11 +1,12 @@
 // obs_compare — the perf-regression gate's CLI (see DESIGN.md §4.8).
 //
-// Diffs two observability summaries (the .summary.json / .summary.tsv
-// files the benches write under TESS_OBS_EXPORT) phase by phase and exits
-// nonzero when any phase's wall time regressed past its threshold:
+// Diffs two observability summaries (the .summary.json files the benches
+// write under TESS_OBS_EXPORT, or google-benchmark --benchmark_out JSON)
+// phase by phase and exits nonzero when any phase's wall time regressed
+// past its threshold:
 //
-//   obs_compare baseline.summary.json current.summary.json \
-//       [--threshold 0.20] [--min-seconds 1e-3] \
+//   obs_compare baseline.summary.json current.summary.json
+//       [--threshold 0.20] [--min-seconds 1e-3]
 //       [--phase-threshold name=0.5]... [--report report.md]
 //
 // Exit codes: 0 = within thresholds, 1 = regression, 2 = usage/IO error.
@@ -13,7 +14,6 @@
 // (instrumentation legitimately comes and goes across commits).
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -27,7 +27,8 @@ namespace {
 int usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0
-      << " <baseline.summary.{json,tsv}> <current.summary.{json,tsv}>\n"
+      << " <baseline.json> <current.json>\n"
+         "  (obs .summary.json files or google-benchmark JSON output)\n"
          "  [--threshold F]        default allowed slowdown fraction "
          "(default 0.20)\n"
          "  [--min-seconds F]      noise floor: phases below this on both "
@@ -46,14 +47,8 @@ std::string read_file(const std::string& path) {
   return os.str();
 }
 
-bool ends_with(const std::string& s, const char* suffix) {
-  const std::size_t n = std::strlen(suffix);
-  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
 std::vector<tess::obs::SummaryRow> load_summary(const std::string& path) {
   const std::string text = read_file(path);
-  if (ends_with(path, ".tsv")) return tess::obs::parse_summary_tsv(text);
   // google-benchmark --benchmark_out files carry a "benchmarks" array; obs
   // summaries never do. Route them through the bench parser and flag files
   // recorded from a debug build — their numbers poison the gate silently.
