@@ -1,11 +1,6 @@
-// Ablation benches for the design choices called out in DESIGN.md:
-//  * early conservative volume culling on/off (paper §III-C),
-//  * the per-cell convex-hull pass on/off (paper's Qhull step vs the
-//    clipped polyhedron's own face ordering),
-//  * ghost size vs exchange volume vs accuracy (the tradeoff the paper
-//    flags as future work in §IV-A).
+// Ablation bench for the ghost-size choice: ghost size vs exchange volume
+// vs completeness, the tradeoff the paper flags as future work in §IV-A.
 #include <cstdio>
-#include <map>
 
 #include "common.hpp"
 #include "util/table.hpp"
@@ -19,47 +14,10 @@ int main() {
   hacc::SimConfig sim;
   sim.np = sim.ng = 32;
   sim.nsteps = 50;
-  sim.sigma_grid = 5.0;  // strongly clustered: the regime where culling matters
+  sim.sigma_grid = 5.0;  // strongly clustered
   sim.seed = 31;
   const auto snapshot = bench::evolve_snapshot(sim, sim.nsteps);
   const double domain = sim.box();
-
-  // ---- Early culling on/off (with a 10%-of-range threshold). ----
-  double vmax = 0.0;
-  {
-    core::TessOptions probe;
-    probe.ghost = 4.0;
-    auto r = bench::run_standalone(1, snapshot, domain, probe, "", true);
-    for (const auto& m : r.meshes)
-      for (const auto& c : m.cells) vmax = std::max(vmax, c.volume);
-  }
-  // Paper-faithful configuration: the hull pass is what early culling
-  // short-circuits (the paper culls before running Qhull on each cell).
-  util::Table early({"EarlyCull", "Voronoi(s)", "CellsKept", "CulledEarly+Exact"});
-  for (bool on : {true, false}) {
-    core::TessOptions opt;
-    opt.ghost = 4.0;
-    opt.min_volume = 0.1 * vmax;
-    opt.early_cull = on;
-    opt.hull_pass = true;
-    const auto r = bench::run_standalone(4, snapshot, domain, opt);
-    early.add_row({on ? "on" : "off", util::Table::cell(r.voronoi_max, 3),
-                   util::Table::cell(static_cast<std::size_t>(r.cells_kept)),
-                   util::Table::cell(static_cast<std::size_t>(r.cells_culled))});
-  }
-  std::printf("Early conservative volume culling:\n%s\n", early.render().c_str());
-
-  // ---- Convex-hull pass on/off. ----
-  util::Table hull({"HullPass", "Voronoi(s)", "CellsKept"});
-  for (bool on : {false, true}) {
-    core::TessOptions opt;
-    opt.ghost = 4.0;
-    opt.hull_pass = on;
-    const auto r = bench::run_standalone(4, snapshot, domain, opt);
-    hull.add_row({on ? "on" : "off", util::Table::cell(r.voronoi_max, 3),
-                  util::Table::cell(static_cast<std::size_t>(r.cells_kept))});
-  }
-  std::printf("Per-cell convex-hull (Qhull-style) pass:\n%s\n", hull.render().c_str());
 
   // ---- Ghost size vs exchange volume vs completeness. ----
   util::Table ghost({"Ghost", "Exchange(s)", "GhostParticles", "CellsKept",
@@ -75,9 +33,8 @@ int main() {
   }
   std::printf("Ghost size vs exchange volume vs completeness (8 ranks):\n%s\n",
               ghost.render().c_str());
-  std::printf("expected: early culling reduces Voronoi time at identical output;\n"
-              "the hull pass adds measurable cost with identical cells; larger\n"
-              "ghosts exchange more particles but eliminate incomplete cells\n");
+  std::printf("expected: larger ghosts exchange more particles but eliminate\n"
+              "incomplete cells\n");
   tess::bench::obs_export_from_env();
   return 0;
 }

@@ -1,5 +1,5 @@
 // Microbenchmarks (google-benchmark) for the serial kernels underneath the
-// tessellation: robust predicates, quickhull, per-cell clipping, the grid
+// tessellation: robust predicates, per-cell clipping, the grid
 // cell builder, and the FFT — the costs Table II's "Voronoi computation"
 // column is made of.
 #include <benchmark/benchmark.h>
@@ -7,7 +7,6 @@
 #include "common.hpp"
 #include "geom/backend.hpp"
 #include "geom/cell_builder.hpp"
-#include "geom/convex_hull.hpp"
 #include "geom/kernels.hpp"
 #include "geom/predicates.hpp"
 #include "hacc/fft.hpp"
@@ -61,13 +60,6 @@ static void BM_InSphere(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_InSphere);
-
-static void BM_ConvexHull(benchmark::State& state) {
-  const auto pts = random_points(3, static_cast<int>(state.range(0)));
-  for (auto _ : state) benchmark::DoNotOptimize(geom::convex_hull(pts));
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_ConvexHull)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
 static void BM_VoronoiCellBuild(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -219,29 +211,6 @@ BENCHMARK_CAPTURE(BM_ScreenCandidates, scalar, TessBackend::kScalar)
 BENCHMARK_CAPTURE(BM_ScreenCandidates, simd, TessBackend::kSimd)
     ->Arg(25)
     ->Arg(2);
-
-static void BM_Orient3DFilterBatch(benchmark::State& state, TessBackend backend) {
-  // Random (well-separated) queries: the semi-static filter certifies every
-  // lane, so this measures the batched filter itself, not the exact path.
-  const int n = 1024;
-  const auto pts = random_points(10, n);
-  const Vec3 a{0.1, 0.1, 0.1}, b{0.9, 0.2, 0.1}, c{0.3, 0.8, 0.2};
-  std::vector<double> dx, dy, dz;
-  for (const auto& p : pts) {
-    dx.push_back(p.x);
-    dy.push_back(p.y);
-    dz.push_back(p.z);
-  }
-  std::vector<int> sign(static_cast<std::size_t>(n));
-  for (auto _ : state) {
-    geom::orient3d_batch(backend, a, b, c, dx.data(), dy.data(), dz.data(),
-                         static_cast<std::size_t>(n), sign.data());
-    benchmark::DoNotOptimize(sign.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK_CAPTURE(BM_Orient3DFilterBatch, scalar, TessBackend::kScalar);
-BENCHMARK_CAPTURE(BM_Orient3DFilterBatch, simd, TessBackend::kSimd);
 
 static void BM_CellSweepBackend(benchmark::State& state, TessBackend backend) {
   // End-to-end per-cell clip loop on one backend: the number the tentpole

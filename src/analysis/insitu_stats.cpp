@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "obs/json.hpp"
 #include "obs/stream.hpp"
 
 namespace tess::analysis {
@@ -66,16 +67,21 @@ StepStats reduce_step_stats(comm::Comm& comm, int step,
 }
 
 std::string step_stats_record(const StepStats& s) {
+  // Numbers as the snap records write them (%.9g), so a large t_ms or a
+  // moment keeps its digits through the stream.
+  using obs::detail::json_number;
   std::ostringstream os;
-  os << "{\"k\":\"step\",\"v\":2,\"t_ms\":" << obs::StreamWriter::now_ms()
-     << ",\"step\":" << s.step << ",\"cells\":" << s.cells
-     << ",\"volume\":{\"mean\":" << s.volume.mean()
-     << ",\"stddev\":" << s.volume.stddev()
-     << ",\"min\":" << s.volume.min() << ",\"max\":" << s.volume.max()
-     << ",\"skewness\":" << s.volume.skewness()
-     << ",\"kurtosis\":" << s.volume.kurtosis() << "}"
-     << ",\"hist\":{\"lo\":" << s.volume_hist.lo()
-     << ",\"hi\":" << s.volume_hist.hi()
+  os << "{\"k\":\"step\",\"v\":2,\"t_ms\":"
+     << json_number(obs::StreamWriter::now_ms()) << ",\"step\":" << s.step
+     << ",\"cells\":" << s.cells
+     << ",\"volume\":{\"mean\":" << json_number(s.volume.mean())
+     << ",\"stddev\":" << json_number(s.volume.stddev())
+     << ",\"min\":" << json_number(s.volume.min())
+     << ",\"max\":" << json_number(s.volume.max())
+     << ",\"skewness\":" << json_number(s.volume.skewness())
+     << ",\"kurtosis\":" << json_number(s.volume.kurtosis()) << "}"
+     << ",\"hist\":{\"lo\":" << json_number(s.volume_hist.lo())
+     << ",\"hi\":" << json_number(s.volume_hist.hi())
      << ",\"underflow\":" << s.volume_hist.underflow()
      << ",\"overflow\":" << s.volume_hist.overflow() << ",\"counts\":[";
   for (std::size_t b = 0; b < s.volume_hist.bins(); ++b) {

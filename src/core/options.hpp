@@ -1,7 +1,7 @@
 // Tessellation options, mirroring the knobs described in the paper:
-// ghost-zone thickness (user-provided, §IV-A), the minimum-volume threshold
-// with conservative early culling (§III-C), and the per-cell convex-hull
-// pass that orders vertices into faces and computes volume/area (§III-C).
+// ghost-zone thickness (user-provided, §IV-A) and the volume thresholds
+// (§III-C). The paper's per-cell Qhull step has no counterpart: the
+// half-space clipper already yields ordered faces, volume and area.
 #pragma once
 
 #include "geom/backend.hpp"
@@ -15,23 +15,15 @@ struct TessOptions {
   double ghost = 4.0;
 
   /// Cells whose volume falls below this are culled (<= 0 disables). The
-  /// paper typically culls the smallest 10% of the volume range.
+  /// paper typically culls the smallest 10% of the volume range. A cell
+  /// whose largest vertex separation is below the diameter of the sphere of
+  /// this volume is culled before its volume is computed (conservative
+  /// early culling; it keeps exactly the cells the volume test keeps).
   double min_volume = 0.0;
 
   /// Cells whose volume exceeds this are culled (<= 0 disables; the paper's
   /// plugin supports a [min, max] threshold range).
   double max_volume = 0.0;
-
-  /// Conservative pre-hull culling: drop a cell early when the largest
-  /// vertex separation is smaller than the diameter of the sphere whose
-  /// volume is `min_volume`, which proves the cell is below threshold.
-  bool early_cull = true;
-
-  /// Re-derive each kept cell's volume and area from the convex hull of its
-  /// Voronoi vertices (the paper's Qhull step). The clipped polyhedron
-  /// already carries ordered faces, so this is a verification/compat pass;
-  /// the ablation bench quantifies its cost.
-  bool hull_pass = false;
 
   /// Automatic ghost-size determination (the paper's §V future work).
   /// When enabled, `ghost` is only the starting guess: the tessellation

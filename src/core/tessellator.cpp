@@ -10,7 +10,6 @@
 #include "diy/repartition.hpp"
 #include "geom/cell_builder.hpp"
 #include "obs/analyze.hpp"
-#include "geom/convex_hull.hpp"
 #include "geom/predicates.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stream.hpp"
@@ -200,7 +199,7 @@ BlockMesh Tessellator::run_passes(const std::vector<diy::Particle>& mine) {
   // diameter of the sphere of volume `min_volume` cannot reach the
   // threshold volume.
   double early_diam2 = 0.0;
-  if (options_.min_volume > 0.0 && options_.early_cull) {
+  if (options_.min_volume > 0.0) {
     const double r = std::cbrt(options_.min_volume * 3.0 / (4.0 * std::numbers::pi));
     early_diam2 = 4.0 * r * r;
   }
@@ -403,17 +402,7 @@ BlockMesh Tessellator::run_passes(const std::vector<diy::Particle>& mine) {
                 state[i] = kCulledEarly;
                 continue;
               }
-              double volume = cell.volume();
-              double area = cell.area();
-              if (options_.hull_pass) {
-                // Paper-faithful step: order the cell's vertices into faces
-                // via the convex hull and take volume/area from it.
-                const auto hull = geom::convex_hull(cell.vertices(), backend_);
-                if (!hull.degenerate) {
-                  volume = hull.volume;
-                  area = hull.area;
-                }
-              }
+              const double volume = cell.volume();
               if ((options_.min_volume > 0.0 && volume < options_.min_volume) ||
                   (options_.max_volume > 0.0 && volume > options_.max_volume)) {
                 state[i] = kCulledVolume;
@@ -424,7 +413,7 @@ BlockMesh Tessellator::run_passes(const std::vector<diy::Particle>& mine) {
                 BlockMesh& shard = shards[shard_id];
                 slot[i] = {static_cast<std::uint32_t>(shard_id),
                            static_cast<std::uint32_t>(shard.cells.size())};
-                shard.add_cell(mine[i].id, cell, volume, area);
+                shard.add_cell(mine[i].id, cell, volume, cell.area());
               }
             }
             chunk_timer.stop();

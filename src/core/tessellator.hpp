@@ -10,8 +10,8 @@
 //      its site);
 //   3. incomplete cells (still touching the ghost-grown seed box, i.e. not
 //      closed off by particles) are deleted;
-//   4. conservative early volume culling, vertex ordering / volume / area
-//      (optionally via the convex-hull pass), final threshold culling;
+//   4. conservative early volume culling, then volume / area from the
+//      clipped polyhedron's ordered faces and final threshold culling;
 //   5. parallel write of the per-block unstructured meshes to one file.
 //
 // Timings are broken down exactly as in the paper's Table II: particle

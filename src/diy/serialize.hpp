@@ -28,16 +28,14 @@ class Buffer {
   template <typename T>
   void write(const T& value) {
     static_assert(std::is_trivially_copyable_v<T>);
-    const auto* p = reinterpret_cast<const std::byte*>(&value);
-    data_.insert(data_.end(), p, p + sizeof(T));
+    append_bytes(&value, sizeof(T));
   }
 
   template <typename T>
   void write_vector(const std::vector<T>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
     write<std::uint64_t>(v.size());
-    const auto* p = reinterpret_cast<const std::byte*>(v.data());
-    data_.insert(data_.end(), p, p + v.size() * sizeof(T));
+    append_bytes(v.data(), v.size() * sizeof(T));
   }
 
   template <typename T>
@@ -62,6 +60,15 @@ class Buffer {
   }
 
  private:
+  // resize + memcpy rather than a range insert: gcc 12 reports a false
+  // -Wstringop-overflow for the inlined insert in Release builds.
+  void append_bytes(const void* src, std::size_t bytes) {
+    if (bytes == 0) return;
+    const std::size_t at = data_.size();
+    data_.resize(at + bytes);
+    std::memcpy(data_.data() + at, src, bytes);
+  }
+
   void require(std::size_t bytes) const {
     if (pos_ + bytes > data_.size())
       throw std::runtime_error("Buffer: read past end (offset " +

@@ -2,8 +2,8 @@
 //
 // Two backends share one candidate store (the CSR grid in CellBuilder) and
 // one kernel translation unit (geom/kernels.cpp): kScalar walks candidates
-// one at a time, kSimd evaluates the batched filters (plane distances,
-// 2*r_max screen, orient3d semi-static filter) four lanes wide. Because the
+// one at a time, kSimd evaluates the batched filters (plane distances and
+// the 2*r_max screen) four lanes wide. Because the
 // lanes perform the identical IEEE operations in the identical order, and
 // candidates are consumed in the canonical (dist2, id, position) order
 // either way, both backends produce byte-identical meshes — enforced by the

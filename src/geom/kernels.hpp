@@ -12,10 +12,6 @@
 // Per-lane IEEE determinism then makes the two sweeps bitwise equal, which
 // is the foundation of the backend byte-identity guarantee (DESIGN.md
 // §4.11).
-//
-// Sign-only predicates (orient3d and friends) do NOT need these rules; their
-// batched filter lives in predicates.hpp and is parity-safe because any
-// conservative filter route ends in the same exact sign.
 #pragma once
 
 #include <cstddef>

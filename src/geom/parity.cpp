@@ -94,16 +94,20 @@ ParityDivergence compare_cell(int site, const CellBuilder::CellTrace& ta,
 }  // namespace
 
 std::string ParityReport::summary() const {
-  std::string s = "backend parity: " + std::to_string(cells) + " cells, " +
-                  std::to_string(divergences.size()) + " divergences, cuts " +
-                  std::to_string(cuts_scalar) + " (scalar) vs " +
-                  std::to_string(cuts_simd) + " (simd)";
+  // Built with one append per piece: gcc 12 reports a false -Wrestrict
+  // inside libstdc++ for `"literal" + std::to_string(...)` in Release.
+  std::string s = "backend parity: ";
+  s.append(std::to_string(cells)).append(" cells, ");
+  s.append(std::to_string(divergences.size())).append(" divergences, cuts ");
+  s.append(std::to_string(cuts_scalar)).append(" (scalar) vs ");
+  s.append(std::to_string(cuts_simd)).append(" (simd)");
   if (!divergences.empty()) {
     const auto& d = divergences.front();
-    s += "; first at site " + std::to_string(d.site) + " stage " + d.stage +
-         " (" + d.detail + ")";
-    s += "; debug cells:";
-    for (int c : debug_cells) s += " " + std::to_string(c);
+    s.append("; first at site ").append(std::to_string(d.site));
+    s.append(" stage ").append(d.stage);
+    s.append(" (").append(d.detail).append(")");
+    s.append("; debug cells:");
+    for (int c : debug_cells) s.append(" ").append(std::to_string(c));
   }
   return s;
 }

@@ -5,8 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/simd.hpp"
-
 namespace tess::geom {
 
 namespace {
@@ -163,56 +161,6 @@ double det3(double ux, double uy, double uz, double vx, double vy, double vz,
 double orient3d_fast(const Vec3& a, const Vec3& b, const Vec3& c, const Vec3& d) {
   return det3(a.x - d.x, a.y - d.y, a.z - d.z, b.x - d.x, b.y - d.y, b.z - d.z,
               c.x - d.x, c.y - d.y, c.z - d.z);
-}
-
-void orient3d_batch(TessBackend backend, const Vec3& a, const Vec3& b,
-                    const Vec3& c, const double* dx, const double* dy,
-                    const double* dz, std::size_t n, int* out) {
-  namespace simd = tess::util::simd;
-  std::size_t i = 0;
-  if (resolve_backend(backend) == TessBackend::kSimd) {
-    const simd::DVec ax = simd::DVec::broadcast(a.x), ay = simd::DVec::broadcast(a.y),
-                     az = simd::DVec::broadcast(a.z);
-    const simd::DVec bx = simd::DVec::broadcast(b.x), by = simd::DVec::broadcast(b.y),
-                     bz = simd::DVec::broadcast(b.z);
-    const simd::DVec cx = simd::DVec::broadcast(c.x), cy = simd::DVec::broadcast(c.y),
-                     cz = simd::DVec::broadcast(c.z);
-    const simd::DVec bound = simd::DVec::broadcast(kO3dErrBoundA);
-    const simd::DVec zero = simd::DVec::broadcast(0.0);
-    for (; i + simd::kLanes <= n; i += simd::kLanes) {
-      const simd::DVec qx = simd::DVec::load(dx + i);
-      const simd::DVec qy = simd::DVec::load(dy + i);
-      const simd::DVec qz = simd::DVec::load(dz + i);
-      const simd::DVec adx = ax - qx, ady = ay - qy, adz = az - qz;
-      const simd::DVec bdx = bx - qx, bdy = by - qy, bdz = bz - qz;
-      const simd::DVec cdx = cx - qx, cdy = cy - qy, cdz = cz - qz;
-      const simd::DVec bdxcdy = bdx * cdy, cdxbdy = cdx * bdy;
-      const simd::DVec cdxady = cdx * ady, adxcdy = adx * cdy;
-      const simd::DVec adxbdy = adx * bdy, bdxady = bdx * ady;
-      const simd::DVec det = adz * (bdxcdy - cdxbdy) + bdz * (cdxady - adxcdy) +
-                             cdz * (adxbdy - bdxady);
-      const simd::DVec permanent =
-          (simd::abs(bdxcdy) + simd::abs(cdxbdy)) * simd::abs(adz) +
-          (simd::abs(cdxady) + simd::abs(adxcdy)) * simd::abs(bdz) +
-          (simd::abs(adxbdy) + simd::abs(bdxady)) * simd::abs(cdz);
-      const simd::DVec errbound = bound * permanent;
-      const simd::Mask pos = det > errbound;
-      const simd::Mask neg = (zero - errbound) > det;
-      for (std::size_t l = 0; l < simd::kLanes; ++l) {
-        if (pos.lane(l)) {
-          out[i + l] = 1;
-        } else if (neg.lane(l)) {
-          out[i + l] = -1;
-        } else {
-          // Undecided lane: scalar exact fallback (counts toward
-          // exact_fallback_count like any filtered miss).
-          out[i + l] =
-              orient3d(a, b, c, Vec3{dx[i + l], dy[i + l], dz[i + l]});
-        }
-      }
-    }
-  }
-  for (; i < n; ++i) out[i] = orient3d(a, b, c, Vec3{dx[i], dy[i], dz[i]});
 }
 
 int orient3d(const Vec3& a, const Vec3& b, const Vec3& c, const Vec3& d) {

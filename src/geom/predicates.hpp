@@ -1,8 +1,8 @@
 // Robust geometric predicates.
 //
-// The convex-hull and Delaunay-validation code paths need orientation and
-// in-sphere tests whose *sign* is always correct, even for nearly degenerate
-// inputs. Each predicate first evaluates in plain double precision with a
+// The Delaunay reference that checks the tessellator's cells needs
+// orientation and in-sphere tests whose *sign* is always correct, even for
+// nearly degenerate inputs. Each predicate first evaluates in plain double precision with a
 // forward error bound (the "static filter"); if the result magnitude falls
 // inside the bound, it re-evaluates exactly using floating-point expansion
 // arithmetic (Shewchuk, "Adaptive Precision Floating-Point Arithmetic and
@@ -11,9 +11,6 @@
 // exact path is error-free.
 #pragma once
 
-#include <cstddef>
-
-#include "geom/backend.hpp"
 #include "geom/vec3.hpp"
 
 namespace tess::geom {
@@ -30,19 +27,6 @@ int orient3d(const Vec3& a, const Vec3& b, const Vec3& c, const Vec3& d);
 /// Signed value of the same determinant evaluated in double precision
 /// (no filter) — useful for magnitude estimates, not for sign decisions.
 double orient3d_fast(const Vec3& a, const Vec3& b, const Vec3& c, const Vec3& d);
-
-/// Signs of orient3d(a, b, c, (dx[i], dy[i], dz[i])) for n query points in
-/// SoA form, written to out[i] in {-1, 0, +1}. Under TessBackend::kSimd the
-/// semi-static filter (determinant vs. permanent error bound) runs four
-/// lanes wide; lanes the filter cannot certify fall back to the scalar
-/// exact-arithmetic path one at a time. Every backend returns the identical
-/// signs: the filter is conservative, so whichever route a lane takes ends
-/// at the true sign — bit-level agreement of the filter values is not
-/// required, only of the decisions, which is why this batch may live
-/// outside the contract-off kernels TU.
-void orient3d_batch(TessBackend backend, const Vec3& a, const Vec3& b,
-                    const Vec3& c, const double* dx, const double* dy,
-                    const double* dz, std::size_t n, int* out);
 
 /// Sign of the 4x4 in-sphere determinant: positive when point e lies inside
 /// the sphere through a,b,c,d (with a,b,c,d positively oriented per

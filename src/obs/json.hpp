@@ -1,5 +1,6 @@
 // The JSON the observability layer reads and writes (summary files in
-// obs/export.cpp, stream records in obs/stream.cpp): one number format,
+// obs/export.cpp, stream records in obs/stream.cpp and the step records of
+// analysis/insitu_stats.cpp): one number format,
 // one string escape, and a minimal recursive-descent reader — just enough
 // for their schemas: objects, arrays, strings, numbers, and skippable
 // nested values. Not a general-purpose JSON library; malformed input

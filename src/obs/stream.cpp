@@ -525,13 +525,13 @@ StreamCheckReport check_stream(const StreamFile& file,
     if (!rec.hists.empty()) report.quantiles_seen = true;
     if (rec.kind != "snap") continue;
     if (rec.rank >= 0) {
-      ++report.rank_records[rec.rank];
       // Step-scoped records are the ones carrying a per-step wall time;
       // mid-step heartbeats (e.g. the tessellator's per-ghost-pass
       // records) also have a step tag but no stage breakdown, and must
-      // not contaminate the step-cadence series.
+      // count neither as a rank nor in the step-cadence series.
       const auto it = rec.values.find("stage.step_s");
       if (rec.step >= 0 && it != rec.values.end()) {
+        ++report.rank_records[rec.rank];
         steps.insert(rec.step);
         rank_step_times[rec.rank].push_back(rec.t_ms);
         step_rank_seconds[rec.step][rec.rank] = it->second;

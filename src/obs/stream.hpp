@@ -225,7 +225,8 @@ struct StreamCheckReport {
   bool ok = true;
   std::size_t records = 0;
   std::size_t dropped = 0;
-  /// rank -> snap-record count (rank >= 0 only).
+  /// rank -> count of its step-scoped snap records (those carrying
+  /// "stage.step_s"); ranks that only sent heartbeats are absent.
   std::map<int, std::size_t> rank_records;
   /// Distinct steps across rank records that carry "stage.step_s" (the
   /// pipeline's per-step records; mid-step heartbeats don't count).

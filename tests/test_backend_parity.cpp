@@ -218,38 +218,3 @@ TEST(MeshBackendParity, IncrementalAutoGhostByteIdentical) {
   }
   EXPECT_GE(scalar.stats[0].auto_iterations, 2);
 }
-
-TEST(MeshBackendParity, HullPassByteIdentical) {
-  // The convex-hull pass routes through the batched orient3d filter under
-  // kSimd; volumes/areas must still match bit for bit.
-  const double domain = 8.0;
-  auto run_hull = [&](TessBackend backend) {
-    MeshRun out;
-    out.bytes.resize(2);
-    Runtime::run(2, [&](Comm& c) {
-      Decomposition d({0, 0, 0}, {domain, domain, domain},
-                      Decomposition::factor(2), false);
-      TessOptions opt;
-      opt.ghost = 2.0;
-      opt.hull_pass = true;
-      opt.backend = backend;
-      std::vector<Particle> mine;
-      if (c.rank() == 0) {
-        const auto pts = clustered_cloud(800, domain, 77);
-        for (std::size_t i = 0; i < pts.size(); ++i)
-          mine.push_back({pts[i], static_cast<std::int64_t>(i)});
-      }
-      auto mesh = tess::core::standalone_tessellate(c, d, mine, opt, nullptr);
-      tess::diy::Buffer buf;
-      mesh.serialize(buf);
-      out.bytes[static_cast<std::size_t>(c.rank())] = buf.data();
-    });
-    return out;
-  };
-  const MeshRun scalar = run_hull(TessBackend::kScalar);
-  const MeshRun simd = run_hull(TessBackend::kSimd);
-  for (int r = 0; r < 2; ++r)
-    EXPECT_EQ(scalar.bytes[static_cast<std::size_t>(r)],
-              simd.bytes[static_cast<std::size_t>(r)])
-        << "rank " << r;
-}

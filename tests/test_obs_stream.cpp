@@ -335,6 +335,56 @@ TEST(ObsStream, CheckStreamFlagsStepWallTimeDrift) {
   EXPECT_NE(bad.findings[0].find("rank 0"), std::string::npos);
 }
 
+TEST(ObsStream, CheckStreamCountsRanksFromStepRecords) {
+  // Two ranks send step-scoped records; global records carry a stall
+  // series that drifts from 10% to 50% of two ranks' wall time. A third
+  // rank that only sends mid-step heartbeats (no "stage.step_s", like the
+  // tessellator's per-pass records) must change neither the rank count
+  // nor the stall fraction that the drift finding reports.
+  obs::StreamFile file;
+  double stall_s = 0.0;
+  for (int s = 1; s <= 10; ++s) {
+    const double t = 100.0 * s;
+    for (int rank = 0; rank < 2; ++rank) {
+      obs::StreamRecord r;
+      r.kind = "snap";
+      r.step = s;
+      r.rank = rank;
+      r.t_ms = t;
+      r.values["stage.step_s"] = 0.1;
+      file.records.push_back(r);
+    }
+    stall_s += (s <= 5 ? 0.1 : 0.5) * 0.1 * 2.0;
+    obs::StreamRecord g;
+    g.kind = "snap";
+    g.step = s;
+    g.t_ms = t;
+    g.spans["pipeline.stall.write"] = {1.0, stall_s};
+    file.records.push_back(g);
+  }
+  obs::StreamFile with_heartbeats = file;
+  for (int s = 1; s <= 10; ++s) {
+    obs::StreamRecord h;
+    h.kind = "snap";
+    h.step = s;
+    h.rank = 2;
+    h.t_ms = 100.0 * s + 50.0;
+    h.counters["tess.pass.cells_built"] = 10.0 * s;
+    with_heartbeats.records.push_back(h);
+  }
+
+  const auto base = obs::check_stream(file, {});
+  const auto report = obs::check_stream(with_heartbeats, {});
+  EXPECT_EQ(base.rank_records.size(), 2u);
+  EXPECT_EQ(report.rank_records.size(), 2u);
+  EXPECT_EQ(report.rank_records.count(2), 0u);
+  ASSERT_EQ(base.findings.size(), 1u);
+  EXPECT_NE(base.findings[0].find("stall fraction drifted to 0.5 "),
+            std::string::npos)
+      << base.findings[0];
+  EXPECT_EQ(report.findings, base.findings);
+}
+
 TEST(ObsStream, FinalRecordParsesAfterNormalRecords) {
   const std::string path = temp_path("tess_stream_final");
   std::remove(path.c_str());
@@ -396,12 +446,17 @@ TEST(ObsStream, StepStatsRecordRidesStream) {
   std::remove(stream_path.c_str());
   obs::configure_stream({stream_path, 1000});
   auto hook = tess::analysis::make_stats_streamer(0.0, 8.0, 16);
+  // Numbers that need more than six significant digits (a t_ms after
+  // about 1000 s looks like hist.hi here).
+  auto wide = tess::analysis::make_stats_streamer(0.0, 1234567.5, 16);
   Runtime::run(2, [&](Comm& c) {
     std::vector<double> volumes =
         c.rank() == 0 ? std::vector<double>{1.0, 2.0, 3.0}
                       : std::vector<double>{4.0, 5.0};
     hook(c, 1, volumes);
     hook(c, 2, volumes);
+    wide(c, 3, c.rank() == 0 ? std::vector<double>{1.0000012}
+                             : std::vector<double>{1.0000034});
   });
   obs::shutdown_stream();
 
@@ -410,13 +465,16 @@ TEST(ObsStream, StepStatsRecordRidesStream) {
   std::vector<const obs::StreamRecord*> steps;
   for (const auto& r : file.records)
     if (r.kind == "step") steps.push_back(&r);
-  ASSERT_EQ(steps.size(), 2u);
+  ASSERT_EQ(steps.size(), 3u);
   EXPECT_EQ(steps[0]->step, 1);
   EXPECT_EQ(steps[1]->step, 2);
   EXPECT_DOUBLE_EQ(steps[0]->values.at("cells"), 5.0);
   EXPECT_DOUBLE_EQ(steps[0]->values.at("volume.mean"), 3.0);
   EXPECT_DOUBLE_EQ(steps[0]->values.at("hist.lo"), 0.0);
   EXPECT_GE(steps[1]->t_ms, steps[0]->t_ms);
+  EXPECT_EQ(steps[2]->values.at("hist.hi"), 1234567.5);
+  EXPECT_NEAR(steps[2]->values.at("volume.mean"), 1.0000023, 1e-12);
+  EXPECT_NEAR(steps[2]->values.at("volume.min"), 1.0000012, 1e-12);
 }
 
 TEST(ObsStream, PipelinedTwoRanksEmitOneRecordPerStepPerRank) {

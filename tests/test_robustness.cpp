@@ -8,7 +8,6 @@
 #include "comm/comm.hpp"
 #include "core/standalone.hpp"
 #include "geom/cell_builder.hpp"
-#include "geom/convex_hull.hpp"
 #include "util/rng.hpp"
 
 using tess::comm::Comm;
@@ -18,23 +17,6 @@ using tess::diy::Decomposition;
 using tess::diy::Particle;
 using tess::geom::Vec3;
 using tess::util::Rng;
-
-TEST(Robustness, CosphericalPointsHull) {
-  // Many exactly cospherical points (vertices of a subdivided octahedron
-  // normalized to the sphere would not be exactly cospherical in doubles;
-  // use symmetric integer points on a sphere of radius^2 = 9).
-  std::vector<Vec3> pts;
-  for (int x = -3; x <= 3; ++x)
-    for (int y = -3; y <= 3; ++y)
-      for (int z = -3; z <= 3; ++z)
-        if (x * x + y * y + z * z == 9)
-          pts.push_back({double(x), double(y), double(z)});
-  ASSERT_GE(pts.size(), 6u);
-  const auto hull = tess::geom::convex_hull(pts);
-  ASSERT_FALSE(hull.degenerate);
-  EXPECT_EQ(hull.vertices.size(), pts.size());  // all on the hull
-  EXPECT_GT(hull.volume, 0.0);
-}
 
 TEST(Robustness, NearlyCoincidentClusterTessellation) {
   // A tight cluster (spacing ~1e-9) plus regular points: cells of the

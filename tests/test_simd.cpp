@@ -17,7 +17,6 @@
 
 #include "geom/backend.hpp"
 #include "geom/kernels.hpp"
-#include "geom/predicates.hpp"
 #include "geom/vec3.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
@@ -220,44 +219,6 @@ TEST(BatchedKernels, ScreenCandidatesParity) {
     for (std::size_t i = 0; i < n; ++i)
       if (d2[i] <= limit) ++expect_kept;
     EXPECT_EQ(cs, expect_kept);
-  }
-}
-
-TEST(BatchedKernels, Orient3dBatchSignParity) {
-  // Sign identity between the batched filter (+ exact fallback) and the
-  // scalar orient3d, on random points AND near-degenerate ones that force
-  // the semi-static filter to fall back to exact arithmetic.
-  Rng rng(57);
-  const Vec3 a{0.0, 0.0, 0.0}, b{1.0, 0.0, 0.0}, c{0.0, 1.0, 0.0};
-  std::vector<double> dx, dy, dz;
-  for (int i = 0; i < 300; ++i) {
-    dx.push_back(rng.uniform(-2.0, 2.0));
-    dy.push_back(rng.uniform(-2.0, 2.0));
-    dz.push_back(rng.uniform(-2.0, 2.0));
-  }
-  // Near-coplanar: z within a few ulps of the abc plane (z == 0).
-  for (int i = 0; i < 64; ++i) {
-    dx.push_back(rng.uniform(-1.0, 1.0));
-    dy.push_back(rng.uniform(-1.0, 1.0));
-    dz.push_back(static_cast<double>(i - 32) * 1e-320);
-  }
-  // Exactly coplanar.
-  for (int i = 0; i < 8; ++i) {
-    dx.push_back(0.25 * i);
-    dy.push_back(0.5);
-    dz.push_back(0.0);
-  }
-  const std::size_t n = dx.size();
-  std::vector<int> simd_sign(n, 99), scalar_sign(n, -99);
-  tess::geom::orient3d_batch(TessBackend::kSimd, a, b, c, dx.data(), dy.data(),
-                             dz.data(), n, simd_sign.data());
-  tess::geom::orient3d_batch(TessBackend::kScalar, a, b, c, dx.data(),
-                             dy.data(), dz.data(), n, scalar_sign.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    const int want = tess::geom::orient3d(
-        a, b, c, Vec3{dx[i], dy[i], dz[i]});
-    EXPECT_EQ(simd_sign[i], want) << "simd orient3d_batch at " << i;
-    EXPECT_EQ(scalar_sign[i], want) << "scalar orient3d_batch at " << i;
   }
 }
 

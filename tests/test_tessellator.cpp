@@ -177,52 +177,41 @@ TEST(Tessellator, ThresholdCulling) {
 }
 
 TEST(Tessellator, EarlyCullMatchesExactCull) {
-  // The conservative circumsphere bound must never cull a cell the exact
-  // volume test would keep.
+  // The conservative early cull must never drop a cell the exact volume
+  // test would keep: a min_volume run keeps exactly the cells of an
+  // unthresholded run whose volume reaches the threshold. At 600 sites the
+  // mean cell volume is 0.36, so the early bound fires on some cells and
+  // about a sixth of the cells are kept.
   const double domain = 6.0;
-  const auto particles = random_particles(12, 400, domain);
-  std::set<std::int64_t> with_early, without_early;
-  for (bool early : {true, false}) {
+  const double min_volume = 0.5;
+  const auto particles = random_particles(12, 600, domain);
+  std::map<std::int64_t, double> all, thresholded;
+  std::size_t culled_early = 0;
+  for (const double threshold : {0.0, min_volume}) {
     Runtime::run(4, [&](Comm& c) {
       Decomposition d({0, 0, 0}, {domain, domain, domain},
                       Decomposition::factor(4), true);
       TessOptions opt;
       opt.ghost = 3.0;
-      opt.min_volume = 0.5;
-      opt.early_cull = early;
+      opt.min_volume = threshold;
+      TessStats stats;
       auto mesh = tess::core::standalone_tessellate(
-          c, d, c.rank() == 0 ? particles : std::vector<Particle>{}, opt);
-      std::vector<std::int64_t> ids;
-      for (const auto& cell : mesh.cells) ids.push_back(cell.site_id);
-      auto all = c.gatherv(ids);
-      if (c.rank() == 0)
-        (early ? with_early : without_early) =
-            std::set<std::int64_t>(all.begin(), all.end());
-    });
-  }
-  EXPECT_EQ(with_early, without_early);
-}
-
-TEST(Tessellator, HullPassAgreesWithClippedCell) {
-  const double domain = 5.0;
-  const auto particles = random_particles(13, 200, domain);
-  std::map<std::int64_t, double> plain, hulled;
-  for (bool hull : {false, true}) {
-    Runtime::run(2, [&](Comm& c) {
-      Decomposition d({0, 0, 0}, {domain, domain, domain},
-                      Decomposition::factor(2), true);
-      TessOptions opt;
-      opt.ghost = 2.5;
-      opt.hull_pass = hull;
-      auto mesh = tess::core::standalone_tessellate(
-          c, d, c.rank() == 0 ? particles : std::vector<Particle>{}, opt);
+          c, d, c.rank() == 0 ? particles : std::vector<Particle>{}, opt, &stats);
       auto vols = gather_cell_volumes(c, mesh);
-      if (c.rank() == 0) (hull ? hulled : plain) = vols;
+      const std::size_t early = c.allreduce_sum(stats.cells_culled_early);
+      if (c.rank() == 0) {
+        (threshold > 0.0 ? thresholded : all) = vols;
+        if (threshold > 0.0) culled_early = early;
+      }
     });
   }
-  ASSERT_EQ(plain.size(), hulled.size());
-  for (const auto& [id, v] : plain)
-    EXPECT_NEAR(hulled.at(id), v, 1e-8 * (1.0 + v)) << "cell " << id;
+  std::set<std::int64_t> want, got;
+  for (const auto& [id, v] : all)
+    if (v >= min_volume) want.insert(id);
+  for (const auto& [id, v] : thresholded) got.insert(id);
+  EXPECT_EQ(got, want);
+  EXPECT_GT(culled_early, 0u);
+  EXPECT_LT(want.size(), all.size());
 }
 
 TEST(Tessellator, WriteReadRoundTrip) {
