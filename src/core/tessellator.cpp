@@ -10,7 +10,6 @@
 #include "diy/repartition.hpp"
 #include "geom/cell_builder.hpp"
 #include "obs/analyze.hpp"
-#include "geom/predicates.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stream.hpp"
 #include "obs/trace.hpp"
@@ -44,21 +43,17 @@ namespace {
 
 /// Emit the per-pass geom.backend.* metrics from the builder's counter
 /// deltas — on every run, not just parity runs, so production traces always
-/// carry the filter hit rate, batch occupancy, and exact-fallback rate.
+/// carry the filter hit rate and batch occupancy.
 void emit_backend_metrics(geom::TessBackend backend,
                           const geom::CellBuilder::BackendStats& before,
-                          const geom::CellBuilder::BackendStats& after,
-                          std::uint64_t cuts_delta,
-                          unsigned long long exact_before) {
+                          const geom::CellBuilder::BackendStats& after) {
   const std::uint64_t seen = after.cand_seen - before.cand_seen;
   const std::uint64_t kept = after.cand_kept - before.cand_kept;
   const std::uint64_t batches = after.batches - before.batches;
   const std::uint64_t lanes = after.lanes - before.lanes;
-  const unsigned long long exact = geom::exact_fallback_count() - exact_before;
   TESS_COUNT("geom.backend.cand_seen", seen);
   TESS_COUNT("geom.backend.cand_kept", kept);
   TESS_COUNT("geom.backend.batches", batches);
-  TESS_COUNT("geom.exact_fallbacks", exact);
   TESS_GAUGE_SET("geom.backend.simd",
                  backend == geom::TessBackend::kSimd ? 1.0 : 0.0);
   if (seen > 0)
@@ -68,10 +63,6 @@ void emit_backend_metrics(geom::TessBackend backend,
     TESS_GAUGE_SET("geom.backend.batch_occupancy",
                    static_cast<double>(lanes) /
                        (4.0 * static_cast<double>(batches)));
-  if (cuts_delta > 0)
-    TESS_GAUGE_SET("geom.exact_fallback_rate",
-                   static_cast<double>(exact) /
-                       static_cast<double>(cuts_delta));
 }
 
 }  // namespace
@@ -351,14 +342,13 @@ BlockMesh Tessellator::run_passes(const std::vector<diy::Particle>& mine) {
     const std::size_t shard_base = shards.size();
     shards.resize(shard_base + num_chunks);
     struct ChunkStat {
-      std::size_t incomplete = 0, uncertified = 0;
+      std::size_t incomplete = 0, proven = 0, uncertified = 0;
       double cpu_seconds = 0.0;
     };
     std::vector<ChunkStat> chunk_stats(num_chunks);
     const std::uint64_t cuts_before = builder->cuts_attempted();
     const std::uint64_t noop_before = builder->clips_noop();
     const auto backend_stats_before = builder->backend_stats();
-    const auto exact_before = geom::exact_fallback_count();
     // Pause the serial timer over the parallel loop: the calling thread
     // works chunks too, and that CPU is already accounted per chunk.
     timer.stop();
@@ -378,9 +368,20 @@ BlockMesh Tessellator::run_passes(const std::vector<diy::Particle>& mine) {
             auto& scratch = scratches[static_cast<std::size_t>(worker)];
             for (std::size_t pi = begin; pi < end; ++pi) {
               const std::size_t i = pending[pi];
+              certified[i] = 0;
+              // A cell proven to keep a seed-box face would be built only
+              // to be dropped as incomplete: record it as such, unbuilt.
+              // The proof is sound (CellBuilder::proves_incomplete), so
+              // states, counts and bytes are those of building it.
+              if (builder->proves_incomplete(static_cast<int>(i), seed.min,
+                                             seed.max)) {
+                ++cs.proven;
+                ++cs.incomplete;
+                state[i] = kIncomplete;
+                continue;
+              }
               builder->build_into(cell, scratch, static_cast<int>(i),
                                   seed.min, seed.max);
-              certified[i] = 0;
               if (!cell.complete()) {
                 ++cs.incomplete;
                 state[i] = kIncomplete;
@@ -422,10 +423,11 @@ BlockMesh Tessellator::run_passes(const std::vector<diy::Particle>& mine) {
     }
 
     timer.start();
-    std::size_t pass_incomplete = 0, pass_uncertified = 0;
+    std::size_t pass_incomplete = 0, pass_proven = 0, pass_uncertified = 0;
     double loop_cpu = 0.0;
     for (const auto& cs : chunk_stats) {
       pass_incomplete += cs.incomplete;
+      pass_proven += cs.proven;
       pass_uncertified += cs.uncertified;
       loop_cpu += cs.cpu_seconds;
     }
@@ -437,15 +439,16 @@ BlockMesh Tessellator::run_passes(const std::vector<diy::Particle>& mine) {
         timer.seconds() + loop_cpu / static_cast<double>(nthreads);
     iter.cells_built = np;
     iter.cells_incomplete = pass_incomplete;
+    iter.cells_proven_incomplete = pass_proven;
     iter.cells_uncertified = pass_uncertified;
     TESS_COUNT("tess.ghost_sent", iter.ghost_sent);
     TESS_COUNT("tess.ghost_received", iter.ghost_received);
     TESS_COUNT("tess.cells_built", np);
+    TESS_COUNT("tess.cells_proven_incomplete", pass_proven);
     TESS_COUNT("geom.cuts", builder->cuts_attempted() - cuts_before);
     TESS_COUNT("geom.clips_noop", builder->clips_noop() - noop_before);
     emit_backend_metrics(backend_, backend_stats_before,
-                         builder->backend_stats(),
-                         builder->cuts_attempted() - cuts_before, exact_before);
+                         builder->backend_stats());
 
     stats_.exchange_seconds += iter.exchange_seconds;
     stats_.compute_seconds += iter.compute_seconds;
@@ -564,6 +567,8 @@ TessStats Tessellator::reduced_stats() const {
     it.ghost_received = comm_->allreduce_sum(mine.ghost_received);
     it.cells_built = comm_->allreduce_sum(mine.cells_built);
     it.cells_incomplete = comm_->allreduce_sum(mine.cells_incomplete);
+    it.cells_proven_incomplete =
+        comm_->allreduce_sum(mine.cells_proven_incomplete);
     it.cells_uncertified = comm_->allreduce_sum(mine.cells_uncertified);
   }
   return r;

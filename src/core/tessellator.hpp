@@ -9,7 +9,8 @@
 //      otherwise produce — each cell is kept only by the block that owns
 //      its site);
 //   3. incomplete cells (still touching the ghost-grown seed box, i.e. not
-//      closed off by particles) are deleted;
+//      closed off by particles) are deleted; a site whose cell provably
+//      keeps a seed-box face (CellBuilder::proves_incomplete) is not built;
 //   4. conservative early volume culling, then volume / area from the
 //      clipped polyhedron's ordered faces and final threshold culling;
 //   5. parallel write of the per-block unstructured meshes to one file.
@@ -45,9 +46,12 @@ struct IterationStats {
   double compute_seconds = 0.0;
   std::size_t ghost_sent = 0;      ///< particles sent (annulus only, when incremental)
   std::size_t ghost_received = 0;  ///< particles received by this pass
-  std::size_t cells_built = 0;     ///< sites (re)built this pass
-  std::size_t cells_incomplete = 0;   ///< among the sites built this pass
-  std::size_t cells_uncertified = 0;  ///< among the sites built this pass
+  std::size_t cells_built = 0;     ///< sites (re)built or proven incomplete this pass
+  std::size_t cells_incomplete = 0;   ///< among cells_built
+  std::size_t cells_uncertified = 0;  ///< among cells_built
+  /// Among cells_incomplete: the sites CellBuilder::proves_incomplete
+  /// settled without building them.
+  std::size_t cells_proven_incomplete = 0;
 };
 
 struct TessStats {

@@ -111,13 +111,72 @@ void CellBuilder::add_points(const std::vector<Vec3>& points,
   }
 }
 
+int CellBuilder::axis_bin(int a, double x) const {
+  const double rel = (x - lo_[static_cast<std::size_t>(a)]) / h_[a];
+  return static_cast<int>(std::clamp(rel, 0.0, static_cast<double>(nb_[a] - 1)));
+}
+
 int CellBuilder::bin_of(const Vec3& p) const {
-  int c[3];
-  for (int a = 0; a < 3; ++a) {
-    const double rel = (p[static_cast<std::size_t>(a)] - lo_[static_cast<std::size_t>(a)]) / h_[a];
-    c[a] = std::clamp(static_cast<int>(rel), 0, nb_[a] - 1);
+  return (axis_bin(2, p.z) * nb_[1] + axis_bin(1, p.y)) * nb_[0] +
+         axis_bin(0, p.x);
+}
+
+bool CellBuilder::proves_incomplete(int site, const Vec3& box_min,
+                                    const Vec3& box_max) const {
+  const Vec3& s = points_[static_cast<std::size_t>(site)];
+  // Face f lies on axis f / 2, on the min side when f is even.
+  for (int f = 0; f < 6; ++f) {
+    const auto a = static_cast<std::size_t>(f / 2);
+    Vec3 q = s;
+    q[a] = f % 2 == 0 ? box_min[a] : box_max[a];
+    const double r = std::fabs(s[a] - q[a]);
+    // If every other point p has |q - p|^2 > r^2 + tol, q lies inside each
+    // bisector half-space by at least tol / (2 |p - s|), so a disc of box
+    // face around q survives every cut. clip()'s plane_eps only ever keeps
+    // a vertex near a plane, so it cannot remove the disc; the relative
+    // margin tol covers rounding in this test and in the cut vertices. A
+    // point on the sphere, a duplicate of the site, or one within the
+    // margin counts as inside, and the proof fails for this face.
+    const double r2 = r * r;
+    const double lim2 = r2 + 1e-9 * (r2 + norm2(q) + 1.0);
+    // Points near the midpoint of s and q lie deep inside the ball, so for
+    // an interior site its bin ends the scan after a few points.
+    if (!ball_occupied(site, q, lim2, bin_of((s + q) * 0.5))) return true;
   }
-  return (c[2] * nb_[1] + c[1]) * nb_[0] + c[0];
+  return false;
+}
+
+bool CellBuilder::ball_occupied(int site, const Vec3& q, double lim2,
+                                int first) const {
+  auto occupied = [&](int b) {
+    const auto end = static_cast<std::size_t>(bin_offsets_[static_cast<std::size_t>(b) + 1]);
+    for (auto k = static_cast<std::size_t>(bin_offsets_[static_cast<std::size_t>(b)]);
+         k < end; ++k) {
+      const double dx = csr_x_[k] - q.x;
+      const double dy = csr_y_[k] - q.y;
+      const double dz = csr_z_[k] - q.z;
+      if (dx * dx + dy * dy + dz * dz <= lim2 && bin_items_[k] != site)
+        return true;
+    }
+    return false;
+  };
+  if (occupied(first)) return true;
+  // Bin ranges of the ball's bounding box. axis_bin() is the binning of
+  // every stored point and is monotone, so a point inside the box lies in
+  // a bin of these ranges, even one clamped into an edge bin.
+  const double rad = std::sqrt(lim2);
+  int b0[3], b1[3];
+  for (int a = 0; a < 3; ++a) {
+    b0[a] = axis_bin(a, q[static_cast<std::size_t>(a)] - rad);
+    b1[a] = axis_bin(a, q[static_cast<std::size_t>(a)] + rad);
+  }
+  for (int z = b0[2]; z <= b1[2]; ++z)
+    for (int y = b0[1]; y <= b1[1]; ++y)
+      for (int x = b0[0]; x <= b1[0]; ++x) {
+        const int b = (z * nb_[1] + y) * nb_[0] + x;
+        if (b != first && occupied(b)) return true;
+      }
+  return false;
 }
 
 VoronoiCell CellBuilder::build(int site, const Vec3& box_min,
@@ -154,10 +213,7 @@ void CellBuilder::build_impl(VoronoiCell& cell, ClipScratch& scratch, int site,
 
   // Site's bin coordinates.
   int sc[3];
-  for (int a = 0; a < 3; ++a) {
-    const double rel = (s[static_cast<std::size_t>(a)] - lo_[static_cast<std::size_t>(a)]) / h_[a];
-    sc[a] = std::clamp(static_cast<int>(rel), 0, nb_[a] - 1);
-  }
+  for (int a = 0; a < 3; ++a) sc[a] = axis_bin(a, s[static_cast<std::size_t>(a)]);
   const int site_bin = (sc[2] * nb_[1] + sc[1]) * nb_[0] + sc[0];
   const double hmin = std::min({h_[0], h_[1], h_[2]});
   const int max_ring = std::max({nb_[0], nb_[1], nb_[2]});

@@ -97,6 +97,17 @@ class CellBuilder {
   void build_into(VoronoiCell& cell, ClipScratch& scratch, int site,
                   const Vec3& box_min, const Vec3& box_max) const;
 
+  /// True when the cell of `points[site]` in the seed box [box_min, box_max]
+  /// provably keeps a box face, so build_into() would return it incomplete
+  /// whatever the candidate order. Witness: for some box face, let q be the
+  /// site projected onto it and r = |q - site|; if no other point lies in
+  /// the ball B(q, r), widened by a relative margin (see the .cpp), q and a
+  /// patch of that face around it survive every bisector cut. False means
+  /// only "not proven". Pure and cheap: it scans the grid bins the ball
+  /// overlaps, the one holding the midpoint of site and q first.
+  [[nodiscard]] bool proves_incomplete(int site, const Vec3& box_min,
+                                       const Vec3& box_max) const;
+
   /// build_into() that additionally records the per-stage trace consumed by
   /// the parity harness (geom/parity.hpp). Slower; not for production use.
   void build_traced(VoronoiCell& cell, ClipScratch& scratch, int site,
@@ -132,6 +143,14 @@ class CellBuilder {
 
  private:
   [[nodiscard]] int bin_of(const Vec3& p) const;
+  /// Bin index along axis `a` of coordinate `x`, clamped to the grid: the
+  /// per-axis part of bin_of(), monotone in `x` for any finite value.
+  [[nodiscard]] int axis_bin(int a, double x) const;
+  /// True when some point other than `site` lies within squared distance
+  /// `lim2` of `q`; scans bin `first` before the rest of the bins that
+  /// overlap the ball.
+  [[nodiscard]] bool ball_occupied(int site, const Vec3& q, double lim2,
+                                   int first) const;
   /// Target bins per dimension (~4 points per bin) for `n` points.
   [[nodiscard]] static int target_per_dim(std::size_t n);
   /// Resize the grid to per_dim^3 over [lo_, hi_], recompute every cached

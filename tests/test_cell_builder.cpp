@@ -1,9 +1,12 @@
 // Tests for the grid-accelerated cell builder: exactness against brute
 // force, the partition-of-space property (cell volumes sum to the box
-// volume), and completeness classification near boundaries.
+// volume), completeness classification near boundaries, and the
+// incompleteness proof that lets the pipeline skip building hull cells.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "geom/cell_builder.hpp"
 #include "util/rng.hpp"
@@ -35,6 +38,53 @@ tg::VoronoiCell brute_force_cell(const std::vector<Vec3>& pts, int site,
     if (cell.empty()) break;
   }
   return cell;
+}
+
+// Dense blob plus sparse background (the backend-parity clustered cloud):
+// its outer sites have hull cells, its blob sites tiny complete ones.
+std::vector<Vec3> clustered_cloud(int n, double domain, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Vec3> pts;
+  for (int i = 0; i < n; ++i) {
+    if (i % 3 == 0) {
+      pts.push_back({rng.uniform(0.0, domain), rng.uniform(0.0, domain),
+                     rng.uniform(0.0, domain)});
+    } else {
+      Vec3 p{0.4 * domain + rng.normal(0.0, 0.04 * domain),
+             0.5 * domain + rng.normal(0.0, 0.04 * domain),
+             0.5 * domain + rng.normal(0.0, 0.04 * domain)};
+      p.x = std::clamp(p.x, 0.0, domain * (1.0 - 1e-12));
+      p.y = std::clamp(p.y, 0.0, domain * (1.0 - 1e-12));
+      p.z = std::clamp(p.z, 0.0, domain * (1.0 - 1e-12));
+      pts.push_back(p);
+    }
+  }
+  return pts;
+}
+
+struct ProofCounts {
+  int proven = 0;
+  int incomplete = 0;
+};
+
+// Builds every site in the box [lo, hi] and checks that each site
+// proves_incomplete() settles really comes back incomplete.
+ProofCounts check_proofs(const std::vector<Vec3>& pts, const Vec3& lo,
+                         const Vec3& hi, const char* what) {
+  CellBuilder builder(pts, {}, lo, hi);
+  tg::VoronoiCell cell(pts[0], lo, hi);
+  tg::ClipScratch scratch;
+  ProofCounts c;
+  for (int s = 0; s < static_cast<int>(pts.size()); ++s) {
+    const bool proven = builder.proves_incomplete(s, lo, hi);
+    builder.build_into(cell, scratch, s, lo, hi);
+    if (!cell.complete()) ++c.incomplete;
+    if (!proven) continue;
+    ++c.proven;
+    EXPECT_FALSE(cell.complete()) << what << ": site " << s
+                                  << " proven incomplete but built complete";
+  }
+  return c;
 }
 
 }  // namespace
@@ -185,4 +235,47 @@ TEST(CellBuilder, ClipsNoopMatchesReplayedCuts) {
   EXPECT_EQ(scratch.clips_noop, noops);
   EXPECT_GT(noops, 0u);
   EXPECT_LT(noops, cuts);
+}
+
+TEST(CellBuilder, ProvenIncompleteCellsBuildIncomplete) {
+  struct Input {
+    const char* name;
+    std::vector<Vec3> pts;
+    double domain;
+  };
+  std::vector<Input> inputs;
+  inputs.push_back({"random", random_points(3, 400), 1.0});
+  inputs.push_back({"clustered", clustered_cloud(480, 6.0, 9), 6.0});
+  std::vector<Vec3> lattice;  // every site ties with its neighbours exactly
+  for (int z = 0; z < 8; ++z)
+    for (int y = 0; y < 8; ++y)
+      for (int x = 0; x < 8; ++x) lattice.push_back({x + 0.5, y + 0.5, z + 0.5});
+  inputs.push_back({"lattice", lattice, 8.0});
+  auto dup = random_points(21, 200);
+  for (int i = 0; i < 40; ++i) dup.push_back(dup[static_cast<std::size_t>(5 * i)]);
+  inputs.push_back({"duplicates", dup, 1.0});
+  // Sites 0 to 4e-9 from each face of [0, 1]^3: some lie exactly on one.
+  auto skin = random_points(27, 300);
+  for (std::size_t i = 0; i < 60; ++i) {
+    const std::size_t a = i % 3;
+    skin[i][a] = (i / 3) % 2 == 0 ? 1e-9 * static_cast<double>(i % 5)
+                                  : 1.0 - 1e-9 * static_cast<double>(i % 5);
+  }
+  inputs.push_back({"near_face", skin, 1.0});
+
+  for (const auto& in : inputs) {
+    const Vec3 lo{0, 0, 0}, hi{in.domain, in.domain, in.domain};
+    const double g = 0.15 * in.domain;
+    const auto tight = check_proofs(in.pts, lo, hi, in.name);
+    const auto grown = check_proofs(in.pts, lo - Vec3{g, g, g},
+                                    hi + Vec3{g, g, g}, in.name);
+    // Every input has hull cells in both boxes, and the proof finds some.
+    EXPECT_GT(tight.proven, 0) << in.name;
+    EXPECT_GT(grown.proven, 0) << in.name;
+    if (std::string(in.name) == "clustered") {
+      // The proof must pay for itself where hull builds are dearest.
+      EXPECT_GE(2 * tight.proven, tight.incomplete);
+      EXPECT_GE(2 * grown.proven, grown.incomplete);
+    }
+  }
 }

@@ -3,6 +3,7 @@
 // Table I at full ghost size), threshold culling, and the file round trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <set>
@@ -11,6 +12,7 @@
 #include "core/standalone.hpp"
 #include "core/tessellator.hpp"
 #include "diy/blockio.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 using tess::comm::Comm;
@@ -266,6 +268,75 @@ TEST(Tessellator, StatsAccounting) {
     EXPECT_GT(stats.ghost_received, 0u);
     EXPECT_GT(stats.compute_seconds, 0.0);
   });
+}
+
+TEST(Tessellator, ProvenIncompleteCellsCountedPerPass) {
+  // Sums each pass's proven and incomplete counts over the ranks, and checks
+  // the tess.cells_proven_incomplete counter carries the same total.
+  constexpr int kRanks = 2;
+  auto run = [](bool periodic, const std::vector<Particle>& particles,
+                double domain, const TessOptions& opt) {
+    std::vector<TessStats> stats(kRanks);
+    tess::obs::metrics().reset();
+    Runtime::run(kRanks, [&](Comm& c) {
+      Decomposition d({0, 0, 0}, {domain, domain, domain},
+                      Decomposition::factor(kRanks), periodic);
+      tess::core::standalone_tessellate(
+          c, d, c.rank() == 0 ? particles : std::vector<Particle>{}, opt,
+          &stats[static_cast<std::size_t>(c.rank())]);
+    });
+    std::vector<tess::core::IterationStats> passes(stats[0].iterations.size());
+    std::size_t total = 0;
+    for (const auto& s : stats) {
+      EXPECT_EQ(s.iterations.size(), passes.size());
+      for (std::size_t k = 0; k < passes.size(); ++k) {
+        passes[k].cells_incomplete += s.iterations[k].cells_incomplete;
+        passes[k].cells_proven_incomplete +=
+            s.iterations[k].cells_proven_incomplete;
+        total += s.iterations[k].cells_proven_incomplete;
+      }
+    }
+#if TESS_OBS_ENABLED
+    EXPECT_EQ(tess::obs::metrics().counter("tess.cells_proven_incomplete").value(),
+              total);
+#endif
+    return passes;
+  };
+
+  // Open domain, clustered, auto-ghost: hull cells stay incomplete in every
+  // pass, and the proof settles some of them each time.
+  constexpr double kDomain = 6.0;
+  Rng rng(77);
+  std::vector<Particle> clustered;
+  for (int i = 0; i < 600; ++i) {
+    Vec3 p{rng.uniform(0, kDomain), rng.uniform(0, kDomain),
+           rng.uniform(0, kDomain)};
+    if (i % 4 != 3)
+      p = {std::clamp(2.4 + rng.normal(0.0, 0.3), 0.0, kDomain * (1 - 1e-12)),
+           std::clamp(3.0 + rng.normal(0.0, 0.3), 0.0, kDomain * (1 - 1e-12)),
+           std::clamp(3.0 + rng.normal(0.0, 0.3), 0.0, kDomain * (1 - 1e-12))};
+    clustered.push_back({p, i});
+  }
+  TessOptions open_opt;
+  open_opt.ghost = 0.3;
+  open_opt.auto_ghost = true;
+  const auto open_passes = run(false, clustered, kDomain, open_opt);
+  ASSERT_GT(open_passes.size(), 1u) << "expected several auto-ghost passes";
+  for (std::size_t k = 0; k < open_passes.size(); ++k) {
+    EXPECT_GT(open_passes[k].cells_proven_incomplete, 0u) << "pass " << k;
+    EXPECT_LE(open_passes[k].cells_proven_incomplete,
+              open_passes[k].cells_incomplete)
+        << "pass " << k;
+  }
+
+  // Periodic with ample ghost: every cell closes, so nothing is provable.
+  TessOptions periodic_opt;
+  periodic_opt.ghost = 2.0;
+  const auto periodic_passes =
+      run(true, random_particles(15, 200, 5.0), 5.0, periodic_opt);
+  ASSERT_EQ(periodic_passes.size(), 1u);
+  EXPECT_EQ(periodic_passes[0].cells_incomplete, 0u);
+  EXPECT_EQ(periodic_passes[0].cells_proven_incomplete, 0u);
 }
 
 TEST(Tessellator, EmptyBlockIsHandled) {
